@@ -211,8 +211,24 @@ pub fn run_serve(rows: u64, smoke: bool, write_batch: &[usize]) -> Vec<BenchReco
         }
         t0.elapsed().as_nanos() as f64 / probes.len() as f64
     };
+    let before = edge.service().cache_stats();
     let cold_ns = time_pass();
+    let between = edge.service().cache_stats();
     let cached_ns = time_pass();
+    let after = edge.service().cache_stats();
+    // What "cold" and "cached" mean, by the cache's own counters (the
+    // two times are records, and on a busy box either can come out
+    // ahead): the first pass had to execute, the second was served
+    // from the cache alone.
+    assert!(
+        between.misses > before.misses,
+        "the cold pass must miss the cache"
+    );
+    assert_eq!(
+        (after.hits - between.hits, after.misses - between.misses),
+        (probes.len() as u64, 0),
+        "the cached pass must be all cache hits"
+    );
 
     let mut recs = Vec::new();
     let mut rec = |op: &str, n: u64, ns: f64| {
@@ -275,13 +291,12 @@ mod tests {
         assert_eq!(get("serve_verify_failures").n, 0);
         assert!(get("serve_query_p99").ns_per_op >= get("serve_query_p50").ns_per_op);
         assert!(get("serve_query_cold").ns_per_op > 0.0);
-        assert!(
-            get("serve_query_cached").ns_per_op < get("serve_query_cold").ns_per_op,
-            "cache hits must be faster than cold executions"
-        );
-        assert!(
-            get("write_batch16").ns_per_op <= get("write_batch1").ns_per_op,
-            "group commit must amortise the per-op write cost"
-        );
+        // That the cached pass was all cache hits, and that group
+        // commit amortises signatures, is asserted inside the run on
+        // `CacheStats` and `CostMeter` counts; the times are records.
+        assert!(get("serve_query_cached").ns_per_op > 0.0);
+        for k in [1, 16] {
+            assert!(get(&format!("write_batch{k}")).ns_per_op > 0.0);
+        }
     }
 }

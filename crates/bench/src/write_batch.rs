@@ -82,14 +82,34 @@ impl OpMix {
     }
 }
 
-fn record(recs: &mut Vec<BenchRecord>, k: usize, n: u64, ns: f64) {
+/// Record one batch size's amortised time; returns its signatures per
+/// op for [`assert_amortised`].
+fn record(recs: &mut Vec<BenchRecord>, k: usize, n: u64, ns: f64, signs: u64) -> (usize, f64) {
     let op = format!("write_batch{k}");
-    println!("{op:<28} {ns:>14.1} ns/op  (n = {n}, amortised)");
+    let per_op = signs as f64 / n as f64;
+    println!("{op:<28} {ns:>14.1} ns/op  (n = {n}, amortised; {per_op:.2} signatures/op)");
     recs.push(BenchRecord {
         op,
         n,
         ns_per_op: ns,
     });
+    (k, per_op)
+}
+
+/// What the sweep exists to show, asserted on what causes it: the
+/// signatures a commit issues (the tree's signing sweep per
+/// [`CostMeter`](vbx_core::CostMeter), plus one freshness stamp per
+/// commit) per op must not grow with the batch size. The times are the
+/// printed record; on a shared box they are too noisy to gate on.
+fn assert_amortised(signs_per_op: &[(usize, f64)]) {
+    let smallest = signs_per_op.iter().min_by_key(|(k, _)| *k);
+    let largest = signs_per_op.iter().max_by_key(|(k, _)| *k);
+    if let (Some((k1, one)), Some((kn, many))) = (smallest, largest) {
+        assert!(
+            many <= one,
+            "group commit must amortise signatures: {many:.2}/op at k={kn} vs {one:.2}/op at k={k1}"
+        );
+    }
 }
 
 fn print_ratio(recs: &[BenchRecord]) {
@@ -127,10 +147,12 @@ pub fn sweep_serve(ks: &[usize], smoke: bool) -> Vec<BenchRecord> {
     println!("# write-batch sweep (serve) — RSA-1024, {rows} rows, {ops_per_k} ops per size");
     let mut mix = OpMix::new();
     let mut recs = Vec::new();
+    let mut signs_per_op = Vec::new();
     for &k in ks {
         let k = k.max(1);
         let rounds = ops_per_k.div_ceil(k);
         let total = (rounds * k) as u64;
+        let signed_before = central.tree("wb").expect("master").meter().sign_ops;
         let t0 = Instant::now();
         for _ in 0..rounds {
             let ops = mix.batch(&schema, k);
@@ -139,14 +161,13 @@ pub fn sweep_serve(ks: &[usize], smoke: bool) -> Vec<BenchRecord> {
                 .expect("batched commit");
             edge.apply_delta_batch(&batch).expect("batch replay");
         }
-        record(
-            &mut recs,
-            k,
-            total,
-            t0.elapsed().as_nanos() as f64 / total as f64,
-        );
+        let ns = t0.elapsed().as_nanos() as f64 / total as f64;
+        let signs =
+            central.tree("wb").expect("master").meter().sign_ops - signed_before + rounds as u64;
+        signs_per_op.push(record(&mut recs, k, total, ns, signs));
     }
     print_ratio(&recs);
+    assert_amortised(&signs_per_op);
 
     // The pipeline must stay sound at every size: replica converged…
     assert_eq!(
@@ -196,24 +217,28 @@ pub fn sweep_cluster(ks: &[usize], smoke: bool) -> Vec<BenchRecord> {
     );
     let mut mix = OpMix::new();
     let mut recs = Vec::new();
+    let mut signs_per_op = Vec::new();
+    let signed = |cluster: &ClusterCoordinator<VbScheme<4>>| {
+        let master = cluster.central().tree("wbc").expect("master");
+        master.meter().sign_ops
+    };
     for &k in ks {
         let k = k.max(1);
         let rounds = ops_per_k.div_ceil(k);
         let total = (rounds * k) as u64;
+        let signed_before = signed(&cluster);
         let t0 = Instant::now();
         for _ in 0..rounds {
             let ops = mix.batch(&schema, k);
             cluster.update_batch("wbc", ops).expect("batched commit");
             cluster.sync().expect("drain all subscriptions");
         }
-        record(
-            &mut recs,
-            k,
-            total,
-            t0.elapsed().as_nanos() as f64 / total as f64,
-        );
+        let ns = t0.elapsed().as_nanos() as f64 / total as f64;
+        let signs = signed(&cluster) - signed_before + rounds as u64;
+        signs_per_op.push(record(&mut recs, k, total, ns, signs));
     }
     print_ratio(&recs);
+    assert_amortised(&signs_per_op);
 
     // Soundness: fully drained, and a strict freshness-verified routed
     // read passes after the batched stream.
@@ -245,22 +270,22 @@ mod tests {
             .ns_per_op
     }
 
+    // Amortisation itself is asserted inside the sweeps, on signature
+    // counts; here only that every size left its timing record.
+
     #[test]
     fn smoke_serve_sweep_amortises() {
         let recs = sweep_serve(&[1, 4, 16], true);
-        assert!(
-            get(&recs, "write_batch16") <= get(&recs, "write_batch1"),
-            "batched writes must not be slower than per-op writes"
-        );
-        assert!(get(&recs, "write_batch4") > 0.0);
+        for k in [1, 4, 16] {
+            assert!(get(&recs, &format!("write_batch{k}")) > 0.0);
+        }
     }
 
     #[test]
     fn smoke_cluster_sweep_amortises() {
         let recs = sweep_cluster(&[1, 4, 16], true);
-        assert!(
-            get(&recs, "write_batch16") <= get(&recs, "write_batch1"),
-            "batched writes must not be slower than per-op writes"
-        );
+        for k in [1, 4, 16] {
+            assert!(get(&recs, &format!("write_batch{k}")) > 0.0);
+        }
     }
 }

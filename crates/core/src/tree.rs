@@ -21,6 +21,7 @@ use crate::node::{InternalNode, LeafNode, Node, NodeId, TupleEntry};
 use crate::source::{DeferredSource, DigestSource, SigningSource};
 use crate::CoreError;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use vbx_crypto::accum::{Accumulator, DigestRole, SignedDigest};
 use vbx_crypto::{SigVerifier, Signer};
 use vbx_mathx::Uint;
@@ -89,6 +90,45 @@ pub fn default_build_threads(rows: usize) -> usize {
     } else {
         std::thread::available_parallelism().map_or(1, usize::from)
     }
+}
+
+/// What one more scoped worker must save before the signing sweep spawns
+/// it: spawning and joining a thread measured 45–125 µs on the 2-vCPU
+/// reference box. The sweep prices its signer by timing the first
+/// signature, so an RSA-1024 sweep (≈ 290 µs a signature) goes parallel
+/// from its second site, while a mock-signed one (< 1 µs a signature)
+/// stays on the calling thread until it has hundreds of sites — a site
+/// count alone cannot tell the two apart.
+const WORKER_SPAWN_COST: Duration = Duration::from_micros(100);
+
+/// Where a digest signed (or replayed) by a batch sweep lives.
+#[derive(Clone, Copy, Debug)]
+enum SiteSlot {
+    /// The node's own digest.
+    Node,
+    /// Attribute digest `col` of leaf entry `entry`.
+    Attr { entry: usize, col: usize },
+    /// Tuple digest of leaf entry `entry`.
+    Tuple { entry: usize },
+}
+
+impl SiteSlot {
+    fn role(self) -> DigestRole {
+        match self {
+            SiteSlot::Node => DigestRole::Node,
+            SiteSlot::Attr { .. } => DigestRole::Attribute,
+            SiteSlot::Tuple { .. } => DigestRole::Tuple,
+        }
+    }
+}
+
+/// One unsigned digest of a batch sweep: its place in the tree and the
+/// exponent to sign.
+#[derive(Clone, Copy, Debug)]
+struct SigningSite<const L: usize> {
+    node: NodeId,
+    slot: SiteSlot,
+    exp: Uint<L>,
 }
 
 /// Primitive-operation counts produced while materialising tuple
@@ -520,6 +560,30 @@ impl<const L: usize> VbTree<L> {
         acc
     }
 
+    /// Product of the exponents directly under a live node — the tuple
+    /// exponents of a leaf, the child exponents of an internal node —
+    /// read through borrows, so recomputing a digest after a delete
+    /// never copies the node's entries.
+    fn product_under(&mut self, id: NodeId) -> Uint<L> {
+        let mut exp = self.acc.identity();
+        let count = match self.node(id) {
+            Node::Leaf(n) => {
+                for e in &n.entries {
+                    exp = self.acc.combine(&exp, &e.tuple_digest.exp);
+                }
+                n.entries.len()
+            }
+            Node::Internal(n) => {
+                for &c in &n.children {
+                    exp = self.acc.combine(&exp, &self.node(c).digest().exp);
+                }
+                n.children.len()
+            }
+        };
+        self.meter.combine_ops += count as u64;
+        exp
+    }
+
     /// Build the full digest materialisation for a tuple with a signer
     /// (central-server path).
     pub fn make_entry(&mut self, tuple: Tuple, signer: &dyn Signer) -> TupleEntry<L> {
@@ -802,139 +866,171 @@ impl<const L: usize> VbTree<L> {
         out
     }
 
+    /// Every unsigned digest under the dirty nodes — node digests, plus
+    /// the attribute/tuple digests of entries inserted by the batch — in
+    /// the sweep's deterministic order: nodes in [structural
+    /// preorder](Self::structural_order); within a node its own digest
+    /// first, then each unsigned entry's attributes followed by its
+    /// tuple digest. The signing sweep and the replay sweep both walk
+    /// exactly this list, which is what keeps their payloads aligned.
+    fn unsigned_sites(&self, ids: &[NodeId]) -> Vec<SigningSite<L>> {
+        let mut sites = Vec::new();
+        for node in self.structural_order(ids) {
+            let n = self.node(node);
+            if n.digest().sig.is_empty() {
+                sites.push(SigningSite {
+                    node,
+                    slot: SiteSlot::Node,
+                    exp: n.digest().exp,
+                });
+            }
+            let Node::Leaf(leaf) = n else { continue };
+            for (entry, e) in leaf.entries.iter().enumerate() {
+                if !e.tuple_digest.sig.is_empty() {
+                    continue;
+                }
+                sites.extend(
+                    e.attr_digests
+                        .iter()
+                        .enumerate()
+                        .map(|(col, d)| SigningSite {
+                            node,
+                            slot: SiteSlot::Attr { entry, col },
+                            exp: d.exp,
+                        }),
+                );
+                sites.push(SigningSite {
+                    node,
+                    slot: SiteSlot::Tuple { entry },
+                    exp: e.tuple_digest.exp,
+                });
+            }
+        }
+        sites
+    }
+
+    /// Install one signed digest per site, in site order.
+    fn install_sites(&mut self, sites: &[SigningSite<L>], digests: &[SignedDigest<L>]) {
+        debug_assert_eq!(sites.len(), digests.len());
+        for (site, d) in sites.iter().zip(digests) {
+            let node = self.node_mut(site.node);
+            match site.slot {
+                SiteSlot::Node => node.set_digest(d.clone()),
+                SiteSlot::Attr { entry, col } => {
+                    node.as_leaf_mut().entries[entry].attr_digests[col] = d.clone();
+                }
+                SiteSlot::Tuple { entry } => {
+                    node.as_leaf_mut().entries[entry].tuple_digest = d.clone();
+                }
+            }
+        }
+    }
+
     /// The signing sweep: give every unsigned digest under the dirty
-    /// nodes (node digests, plus attribute/tuple digests of entries
-    /// inserted by the batch) exactly one fresh signature, visiting
-    /// nodes in [structural preorder](Self::structural_order). Returns
-    /// the signed digests in sweep order — the packed payload replicas
-    /// replay through [`replay_dirty_nodes`](Self::replay_dirty_nodes).
+    /// nodes exactly one fresh signature, in three phases — collect the
+    /// [signing sites](Self::unsigned_sites), sign them (spread over the
+    /// machine's cores when the signatures cost more than the workers,
+    /// see [`WORKER_SPAWN_COST`]), install the digests. Returns the
+    /// signed digests in site order — the packed payload replicas replay
+    /// through [`replay_dirty_nodes`](Self::replay_dirty_nodes),
+    /// identical for every worker count because a signature depends
+    /// only on its own site.
     pub(crate) fn sign_dirty_nodes(
         &mut self,
         ids: &[NodeId],
         signer: &dyn Signer,
     ) -> Vec<SignedDigest<L>> {
-        let ids = self.structural_order(ids);
-        let mut out = Vec::new();
-        self.key_version = signer.key_version();
-        for id in ids {
-            let node_exp = {
-                let node = self.node(id);
-                node.digest().sig.is_empty().then(|| node.digest().exp)
-            };
-            if let Some(exp) = node_exp {
-                self.meter.sign_ops += 1;
-                let d = self.acc.sign_digest(signer, DigestRole::Node, &exp);
-                out.push(d.clone());
-                self.node_mut(id).set_digest(d);
-            }
-            // Leaf entries inserted by this batch carry unsigned
-            // attribute/tuple digests too.
-            let mut fixes: Vec<(usize, Vec<Uint<L>>, Uint<L>)> = Vec::new();
-            if let Node::Leaf(leaf) = self.node(id) {
-                for (i, e) in leaf.entries.iter().enumerate() {
-                    if e.tuple_digest.sig.is_empty() {
-                        fixes.push((
-                            i,
-                            e.attr_digests.iter().map(|d| d.exp).collect(),
-                            e.tuple_digest.exp,
-                        ));
-                    }
-                }
-            }
-            for (i, attr_exps, tuple_exp) in fixes {
-                let attr_digests: Vec<SignedDigest<L>> = attr_exps
-                    .iter()
-                    .map(|e| {
-                        self.meter.sign_ops += 1;
-                        let d = self.acc.sign_digest(signer, DigestRole::Attribute, e);
-                        out.push(d.clone());
-                        d
-                    })
-                    .collect();
-                self.meter.sign_ops += 1;
-                let tuple_digest = self.acc.sign_digest(signer, DigestRole::Tuple, &tuple_exp);
-                out.push(tuple_digest.clone());
-                let leaf = self.node_mut(id).as_leaf_mut();
-                leaf.entries[i].attr_digests = attr_digests;
-                leaf.entries[i].tuple_digest = tuple_digest;
-            }
-        }
-        out
+        self.sign_dirty_nodes_on(ids, signer, None)
     }
 
-    /// The replay sweep: walk the dirty nodes in the same deterministic
-    /// order as [`sign_dirty_nodes`](Self::sign_dirty_nodes), consuming
-    /// one pre-signed digest per unsigned signing site and checking that
-    /// role and locally recomputed exponent match. Any mismatch (or a
-    /// digest count that does not line up) means a forged batch or a
-    /// diverged replica.
+    /// [`sign_dirty_nodes`](Self::sign_dirty_nodes) on exactly `workers`
+    /// threads, the calling thread included (as far as there are sites
+    /// to hand out); `None` lets the sweep choose.
+    pub(crate) fn sign_dirty_nodes_on(
+        &mut self,
+        ids: &[NodeId],
+        signer: &dyn Signer,
+        workers: Option<usize>,
+    ) -> Vec<SignedDigest<L>> {
+        let sites = self.unsigned_sites(ids);
+        self.key_version = signer.key_version();
+        self.meter.sign_ops += sites.len() as u64;
+        let acc = &self.acc;
+        let sign = |site: &SigningSite<L>| acc.sign_digest(signer, site.slot.role(), &site.exp);
+        let Some((first, rest)) = sites.split_first() else {
+            return Vec::new();
+        };
+        let mut signed = Vec::with_capacity(sites.len());
+        let started = Instant::now();
+        signed.push(sign(first));
+        let workers = workers.unwrap_or_else(|| {
+            // One worker per two spawn costs' worth of signing left:
+            // each then saves at least what it cost to start.
+            let left = started.elapsed().as_nanos() * rest.len() as u128;
+            let affordable = left / (2 * WORKER_SPAWN_COST.as_nanos());
+            let cores = std::thread::available_parallelism().map_or(1, usize::from);
+            cores.min(1 + usize::try_from(affordable).unwrap_or(usize::MAX - 1))
+        });
+        if workers <= 1 || rest.len() <= 1 {
+            signed.extend(rest.iter().map(sign));
+        } else {
+            let mut parts = rest.chunks(rest.len().div_ceil(workers));
+            let mine = parts.next().expect("rest is not empty");
+            std::thread::scope(|scope| {
+                let sign = &sign;
+                let handles: Vec<_> = parts
+                    .map(|part| scope.spawn(move || part.iter().map(sign).collect::<Vec<_>>()))
+                    .collect();
+                signed.extend(mine.iter().map(sign));
+                for h in handles {
+                    signed.extend(h.join().expect("signing worker panicked"));
+                }
+            });
+        }
+        self.install_sites(&sites, &signed);
+        signed
+    }
+
+    /// The replay sweep: walk the same [signing
+    /// sites](Self::unsigned_sites) as
+    /// [`sign_dirty_nodes`](Self::sign_dirty_nodes), consuming one
+    /// pre-signed digest per site and checking that role and locally
+    /// recomputed exponent match. Any mismatch (or a digest count that
+    /// does not line up) means a forged batch or a diverged replica.
     pub(crate) fn replay_dirty_nodes(
         &mut self,
         ids: &[NodeId],
         digests: &[SignedDigest<L>],
         key_version: u32,
     ) -> Result<(), CoreError> {
-        let ids = self.structural_order(ids);
-        let mut next = 0usize;
-        let mut pop = |role: DigestRole, exp: &Uint<L>| -> Result<SignedDigest<L>, CoreError> {
-            let d = digests.get(next).ok_or_else(|| {
+        let sites = self.unsigned_sites(ids);
+        self.key_version = key_version;
+        for (i, site) in sites.iter().enumerate() {
+            let d = digests.get(i).ok_or_else(|| {
                 CoreError::ReplicaDivergence(
                     "batch payload exhausted: replica has more dirty digests".into(),
                 )
             })?;
-            next += 1;
+            let role = site.slot.role();
             if d.role != role {
                 return Err(CoreError::ReplicaDivergence(format!(
                     "batch digest role {:?} != local {:?}",
                     d.role, role
                 )));
             }
-            if &d.exp != exp {
+            if d.exp != site.exp {
                 return Err(CoreError::ReplicaDivergence(
                     "batch digest exponent differs from locally recomputed digest".into(),
                 ));
             }
-            Ok(d.clone())
-        };
-        self.key_version = key_version;
-        for id in ids {
-            let node_exp = {
-                let node = self.node(id);
-                node.digest().sig.is_empty().then(|| node.digest().exp)
-            };
-            if let Some(exp) = node_exp {
-                let d = pop(DigestRole::Node, &exp)?;
-                self.node_mut(id).set_digest(d);
-            }
-            let mut fixes: Vec<(usize, Vec<Uint<L>>, Uint<L>)> = Vec::new();
-            if let Node::Leaf(leaf) = self.node(id) {
-                for (i, e) in leaf.entries.iter().enumerate() {
-                    if e.tuple_digest.sig.is_empty() {
-                        fixes.push((
-                            i,
-                            e.attr_digests.iter().map(|d| d.exp).collect(),
-                            e.tuple_digest.exp,
-                        ));
-                    }
-                }
-            }
-            for (i, attr_exps, tuple_exp) in fixes {
-                let mut attr_digests = Vec::with_capacity(attr_exps.len());
-                for e in &attr_exps {
-                    attr_digests.push(pop(DigestRole::Attribute, e)?);
-                }
-                let tuple_digest = pop(DigestRole::Tuple, &tuple_exp)?;
-                let leaf = self.node_mut(id).as_leaf_mut();
-                leaf.entries[i].attr_digests = attr_digests;
-                leaf.entries[i].tuple_digest = tuple_digest;
-            }
         }
-        if next != digests.len() {
+        if sites.len() != digests.len() {
             return Err(CoreError::ReplicaDivergence(format!(
                 "{} unused digests after batch replay",
-                digests.len() - next
+                digests.len() - sites.len()
             )));
         }
+        self.install_sites(&sites, digests);
         Ok(())
     }
 
@@ -1028,11 +1124,7 @@ impl<const L: usize> VbTree<L> {
         };
 
         // Recompute the leaf digest from surviving entries.
-        let leaf_entries = match self.node(leaf_id) {
-            Node::Leaf(n) => n.entries.clone(),
-            _ => unreachable!(),
-        };
-        let exp = self.product_of_tuples(&leaf_entries);
+        let exp = self.product_under(leaf_id);
         let digest = self.issue_node(exp, src)?;
         self.set_node_digest(leaf_id, digest);
 
@@ -1052,11 +1144,7 @@ impl<const L: usize> VbTree<L> {
                 }
                 self.dealloc(child_id);
             }
-            let children = match self.node(pid) {
-                Node::Internal(n) => n.children.clone(),
-                _ => unreachable!(),
-            };
-            let exp = self.product_of_children(&children);
+            let exp = self.product_under(pid);
             let digest = self.issue_node(exp, src)?;
             self.set_node_digest(pid, digest);
             child_id = pid;
@@ -1182,12 +1270,11 @@ impl<const L: usize> VbTree<L> {
                 }
                 let changed = kept.len() != before;
                 leaf.entries = kept;
-                let entries = self.node(id).as_leaf().entries.clone();
-                if entries.is_empty() {
+                if leaf.entries.is_empty() {
                     return Ok(true);
                 }
                 if changed {
-                    let exp = self.product_of_tuples(&entries);
+                    let exp = self.product_under(id);
                     let digest = self.issue_node(exp, src)?;
                     self.set_node_digest(id, digest);
                 }
@@ -1222,12 +1309,11 @@ impl<const L: usize> VbTree<L> {
                         self.dealloc(child_ids[i]);
                     }
                 }
-                let children = self.node(id).as_internal().children.clone();
-                if children.is_empty() {
+                if self.node(id).entry_count() == 0 {
                     return Ok(true);
                 }
                 if any_overlap {
-                    let exp = self.product_of_children(&children);
+                    let exp = self.product_under(id);
                     let digest = self.issue_node(exp, src)?;
                     self.set_node_digest(id, digest);
                 }
@@ -1405,5 +1491,149 @@ impl<const L: usize> VbTree<L> {
                 Ok(depth.unwrap() + 1)
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheme::{AuthScheme, UpdateOp, VbScheme};
+    use crate::tree_codec::encode_tree;
+    use vbx_crypto::rsa::fixture_keypair_crt_512;
+    use vbx_crypto::signer::MockSigner;
+    use vbx_crypto::Acc256;
+    use vbx_storage::workload::WorkloadSpec;
+    use vbx_storage::Value;
+
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0 >> 33
+        }
+    }
+
+    /// A valid seeded mix of `k` inserts, deletes, modifies (delete +
+    /// re-insert) and small range deletes against the keys `0..rows`.
+    fn gen_ops(schema: &Schema, rng: &mut Lcg, rows: u64, k: usize) -> Vec<UpdateOp> {
+        let fresh = |key: u64, salt: u64| {
+            let values = vec![
+                Value::from(format!("v{key}.{salt}")),
+                Value::from("w"),
+                Value::from((salt % 97) as i64),
+            ];
+            Tuple::new(schema, key, values).expect("schema-conformant tuple")
+        };
+        let mut live: std::collections::BTreeSet<u64> = (0..rows).collect();
+        let mut next_key = 10_000;
+        let mut ops = Vec::with_capacity(k);
+        while ops.len() < k {
+            let victim = *live
+                .iter()
+                .nth(rng.next() as usize % live.len())
+                .expect("the mix never empties the table");
+            match rng.next() % 4 {
+                0 => {
+                    live.remove(&victim);
+                    ops.push(UpdateOp::Delete(victim));
+                }
+                1 if ops.len() + 2 <= k => {
+                    ops.push(UpdateOp::Delete(victim));
+                    ops.push(UpdateOp::Insert(fresh(victim, rng.next())));
+                }
+                2 => {
+                    let hi = victim + rng.next() % 5;
+                    live.retain(|&key| key < victim || key > hi);
+                    ops.push(UpdateOp::DeleteRange(victim, hi));
+                }
+                _ => {
+                    next_key += 1;
+                    live.insert(next_key);
+                    ops.push(UpdateOp::Insert(fresh(next_key, rng.next())));
+                }
+            }
+        }
+        ops
+    }
+
+    /// [`VbScheme::update_batch`] with the sweep forced onto `workers`
+    /// threads.
+    fn update_batch_on(
+        tree: &mut VbTree<4>,
+        ops: &[UpdateOp],
+        signer: &dyn Signer,
+        workers: usize,
+    ) -> Vec<SignedDigest<4>> {
+        let mut src = DeferredSource::new(signer.key_version());
+        tree.begin_dirty_tracking();
+        for op in ops {
+            match op {
+                UpdateOp::Insert(tuple) => tree.insert_with_source(tuple.clone(), &mut src),
+                UpdateOp::Delete(key) => tree.delete_with_source(*key, &mut src).map(|_| ()),
+                UpdateOp::DeleteRange(lo, hi) => tree
+                    .delete_range_with_source(*lo, *hi, &mut src)
+                    .map(|_| ()),
+            }
+            .expect("generated ops are valid");
+        }
+        let dirty = tree.take_dirty();
+        tree.sign_dirty_nodes_on(&dirty, signer, Some(workers))
+    }
+
+    fn sweep_is_identical_for_every_worker_count(signer: &dyn Signer, rounds: usize) {
+        const ROWS: u64 = 120;
+        let table = WorkloadSpec::new(ROWS, 3, 8).build();
+        let scheme: VbScheme<4> =
+            VbScheme::new(Acc256::test_default(), VbTreeConfig::with_fanout(5));
+        let base = scheme.build(&table, signer);
+        let mut rng = Lcg(0x5EED_2026);
+        for round in 0..rounds {
+            let ops = gen_ops(table.schema(), &mut rng, ROWS, 4 + round % 13);
+            let mut sequential = base.clone();
+            let payload = update_batch_on(&mut sequential, &ops, signer, 1);
+            let signs = sequential.meter().sign_ops - base.meter().sign_ops;
+            assert_eq!(signs, payload.len() as u64, "one signature per site");
+            assert!(
+                payload.len() > 8,
+                "a sweep this small would hardly be split"
+            );
+            let canonical = encode_tree(&sequential);
+            for workers in [2, 3, 8] {
+                let mut tree = base.clone();
+                let got = update_batch_on(&mut tree, &ops, signer, workers);
+                assert_eq!(got, payload, "round {round}: payload on {workers} workers");
+                assert_eq!(
+                    encode_tree(&tree),
+                    canonical,
+                    "round {round}: tree bytes on {workers} workers"
+                );
+                assert_eq!(
+                    tree.meter().sign_ops,
+                    sequential.meter().sign_ops,
+                    "round {round}: sign_ops on {workers} workers"
+                );
+            }
+            // A replica replays the payload the 8-worker sweep produced
+            // (equal to `payload`, by the assertion above).
+            let mut replica = base.clone();
+            scheme
+                .apply_delta_batch(&mut replica, &ops, &[payload], signer.key_version())
+                .unwrap_or_else(|e| panic!("round {round}: replay diverged: {e}"));
+            assert_eq!(encode_tree(&replica), canonical, "round {round}: replica");
+        }
+    }
+
+    #[test]
+    fn parallel_sweep_matches_sequential_mock() {
+        sweep_is_identical_for_every_worker_count(&MockSigner::new(0xBA7C), 40);
+    }
+
+    #[test]
+    fn parallel_sweep_matches_sequential_rsa() {
+        sweep_is_identical_for_every_worker_count(&fixture_keypair_crt_512(), 3);
     }
 }

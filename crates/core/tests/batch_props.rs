@@ -9,7 +9,7 @@ use vbx_core::{encode_tree, AuthScheme, UpdateOp, VbScheme, VbTreeConfig};
 use vbx_crypto::signer::{MockSigner, Signer};
 use vbx_crypto::Acc256;
 use vbx_storage::workload::WorkloadSpec;
-use vbx_storage::{Schema, Tuple, Value};
+use vbx_storage::{crc32, Schema, Tuple, Value};
 
 const ROWS: u64 = 120;
 
@@ -267,4 +267,48 @@ fn batch_replay_rejects_forged_op_streams() {
         master.root_digest().exp,
         "honest batch replays to the master state"
     );
+}
+
+#[test]
+fn deletes_keep_their_combine_count_and_tree_bytes() {
+    // Delete and range delete recompute each touched node's exponent
+    // from the entries that survive. These counts and checksums were
+    // recorded before that product was taken through borrows instead of
+    // a copy of the leaf; reading the entries differently must change
+    // neither the number of combines nor a byte of the tree.
+    let table = WorkloadSpec::new(ROWS, 3, 8).build();
+    let signer = MockSigner::new(0xD0);
+    let scheme: VbScheme<4> = VbScheme::new(Acc256::test_default(), VbTreeConfig::with_fanout(5));
+    let base = scheme.build(&table, &signer);
+    const COMBINES: u64 = 143;
+    const TREE_CRC: u32 = 2_552_744_849;
+    let combines = |t: &vbx_core::VbTree<4>| t.meter().combine_ops - base.meter().combine_ops;
+
+    // Single deletes (40..=44 empties a leaf), then range deletes
+    // inside a leaf, across leaves, and over an already emptied span.
+    let keys = [7, 40, 41, 42, 43, 44, 119, 0];
+    let ranges = [(10, 11), (58, 77), (40, 44), (100, 118)];
+
+    let mut perop = base.clone();
+    for key in keys {
+        perop.delete(key, &signer).expect("live key");
+    }
+    for (lo, hi) in ranges {
+        perop.delete_range(lo, hi, &signer).expect("range delete");
+    }
+    assert_eq!(combines(&perop), COMBINES);
+    assert_eq!(crc32(&encode_tree(&perop)), TREE_CRC);
+
+    // The same script as one deferred-signing batch.
+    let mut batch = base.clone();
+    let ops: Vec<UpdateOp> = keys
+        .into_iter()
+        .map(UpdateOp::Delete)
+        .chain(ranges.map(|(lo, hi)| UpdateOp::DeleteRange(lo, hi)))
+        .collect();
+    scheme
+        .update_batch(&mut batch, &ops, &signer)
+        .expect("batch");
+    assert_eq!(combines(&batch), COMBINES);
+    assert_eq!(crc32(&encode_tree(&batch)), TREE_CRC);
 }

@@ -621,6 +621,73 @@ impl<S: AuthScheme> core::fmt::Debug for Flushed<S> {
     }
 }
 
+/// Inverse of one catalog-table mutation made by [`mirror_ops`].
+pub(crate) enum CatalogUndo {
+    /// A tuple was inserted under this key: delete it again.
+    Inserted(u64),
+    /// This tuple was deleted: put it back.
+    Deleted(Tuple),
+}
+
+/// Mirror committed (or about to be committed) update ops into their
+/// plain-tuple catalog table — the one place that knows how an
+/// [`UpdateOp`] reads against a [`Table`]. Returns the undo log: one
+/// inverse per row touched, in application order. All-or-nothing: on a
+/// conflict (duplicate key, missing key, schema mismatch) the ops
+/// already mirrored by this call are unwound before the error returns.
+pub(crate) fn mirror_ops(
+    cat: &mut Table,
+    ops: &[UpdateOp],
+) -> Result<Vec<CatalogUndo>, StorageError> {
+    let mut log = Vec::with_capacity(ops.len());
+    let mirrored = ops.iter().try_for_each(|op| {
+        match op {
+            UpdateOp::Insert(tuple) => {
+                cat.insert(tuple.clone())?;
+                log.push(CatalogUndo::Inserted(tuple.key));
+            }
+            UpdateOp::Delete(key) => log.push(CatalogUndo::Deleted(cat.delete(*key)?)),
+            UpdateOp::DeleteRange(lo, hi) => {
+                let doomed: Vec<u64> = cat.range(*lo, *hi).map(|t| t.key).collect();
+                for k in doomed {
+                    log.push(CatalogUndo::Deleted(cat.delete(k)?));
+                }
+            }
+        }
+        Ok(())
+    });
+    match mirrored {
+        Ok(()) => Ok(log),
+        Err(e) => {
+            unmirror_ops(cat, log);
+            Err(e)
+        }
+    }
+}
+
+/// Replay an undo log from [`mirror_ops`] backwards, restoring the
+/// table to exactly its rows before that call.
+fn unmirror_ops(cat: &mut Table, log: Vec<CatalogUndo>) {
+    for step in log.into_iter().rev() {
+        match step {
+            CatalogUndo::Inserted(key) => {
+                cat.delete(key).expect("undo log: the key was inserted");
+            }
+            CatalogUndo::Deleted(tuple) => {
+                cat.insert(tuple).expect("undo log: the tuple was deleted");
+            }
+        }
+    }
+}
+
+/// Unwind the per-run undo logs of a multi-table txn, newest run first.
+fn unmirror_runs(catalog: &mut Catalog, runs: Vec<(&str, Vec<CatalogUndo>)>) {
+    for (table, log) in runs.into_iter().rev() {
+        let cat = catalog.get_mut(table).expect("catalog mirrors stores");
+        unmirror_ops(cat, log);
+    }
+}
+
 /// The trusted central DBMS, generic over the authentication scheme.
 pub struct CentralServer<S: AuthScheme> {
     pub(crate) scheme: S,
@@ -955,20 +1022,7 @@ impl<S: AuthScheme> CentralServer<S> {
                 .update(store, &op, self.signer.as_ref())
                 .map_err(CentralError::Scheme)?;
             let cat = self.catalog.get_mut(table).expect("catalog mirrors stores");
-            match &op {
-                UpdateOp::Insert(tuple) => {
-                    cat.insert(tuple.clone())?;
-                }
-                UpdateOp::Delete(key) => {
-                    cat.delete(*key)?;
-                }
-                UpdateOp::DeleteRange(lo, hi) => {
-                    let doomed: Vec<u64> = cat.range(*lo, *hi).map(|t| t.key).collect();
-                    for k in doomed {
-                        cat.delete(k)?;
-                    }
-                }
-            }
+            mirror_ops(cat, std::slice::from_ref(&op))?;
             Ok::<_, CentralError<S::Error>>(payload)
         })();
         self.locks.release_all(txn);
@@ -1058,22 +1112,7 @@ impl<S: AuthScheme> CentralServer<S> {
                 .update_batch(store, &ops, self.signer.as_ref())
                 .map_err(CentralError::Scheme)?;
             let cat = self.catalog.get_mut(table).expect("catalog mirrors stores");
-            for op in &ops {
-                match op {
-                    UpdateOp::Insert(tuple) => {
-                        cat.insert(tuple.clone())?;
-                    }
-                    UpdateOp::Delete(key) => {
-                        cat.delete(*key)?;
-                    }
-                    UpdateOp::DeleteRange(lo, hi) => {
-                        let doomed: Vec<u64> = cat.range(*lo, *hi).map(|t| t.key).collect();
-                        for k in doomed {
-                            cat.delete(k)?;
-                        }
-                    }
-                }
-            }
+            mirror_ops(cat, &ops)?;
             Ok::<_, CentralError<S::Error>>(payloads)
         })();
         self.locks.release_all(txn);
@@ -1119,8 +1158,8 @@ impl<S: AuthScheme> CentralServer<S> {
 
     /// Commit a staged multi-table transaction **atomically**: X-lock
     /// the union of every touched table's lock targets, mirror every op
-    /// into staged clones of the catalog tables (validating conflicts
-    /// before anything mutates), run every per-table
+    /// into the catalog tables under an undo log (surfacing conflicts
+    /// before any store mutates), run every per-table
     /// [`AuthScheme::update_batch`] signing sweep, then log one
     /// [`TxnBatch`] and append **one** checksummed `CommitTxn` WAL
     /// record — fsync'd before *any* table's state is acked.
@@ -1128,8 +1167,10 @@ impl<S: AuthScheme> CentralServer<S> {
     /// All-or-nothing: on any failure — an unknown table, a catalog
     /// conflict, a failing sweep, a WAL append — no store, catalog
     /// table, log entry, or durable record changes at all. Stores
-    /// already swept when a later run fails are restored from snapshots
-    /// taken under the txn's locks. (A WAL failure additionally poisons
+    /// already swept when a later run fails are restored from snapshot
+    /// handles taken under the txn's locks, and the catalog by replaying
+    /// its undo log backwards — both O(ops), never a copy of a table.
+    /// (A WAL failure additionally poisons
     /// the durability engine, exactly like every other commit path.)
     ///
     /// Consecutive same-table runs become the txn's sections, chained
@@ -1183,34 +1224,18 @@ impl<S: AuthScheme> CentralServer<S> {
             .expect("single-threaded central server cannot conflict with itself");
 
         let result = (|| {
-            // 1. Mirror every op into clones of the touched catalog
-            //    tables: catalog-level conflicts (duplicate keys,
-            //    missing keys) surface here, before any store mutates.
-            let mut staged_cat: BTreeMap<String, Table> = BTreeMap::new();
+            // 1. Mirror every op into the live catalog tables, keeping
+            //    each run's undo log: catalog-level conflicts (duplicate
+            //    keys, missing keys) surface here, before any store
+            //    mutates.
+            let mut cat_undo: Vec<(&str, Vec<CatalogUndo>)> = Vec::with_capacity(runs.len());
             for (table, ops) in &runs {
-                if !staged_cat.contains_key(table) {
-                    let cat = self
-                        .catalog
-                        .get(table)
-                        .expect("catalog mirrors stores")
-                        .clone();
-                    staged_cat.insert(table.clone(), cat);
-                }
-                let cat = staged_cat.get_mut(table).expect("inserted above");
-                for op in ops {
-                    match op {
-                        UpdateOp::Insert(tuple) => {
-                            cat.insert(tuple.clone())?;
-                        }
-                        UpdateOp::Delete(key) => {
-                            cat.delete(*key)?;
-                        }
-                        UpdateOp::DeleteRange(lo, hi) => {
-                            let doomed: Vec<u64> = cat.range(*lo, *hi).map(|t| t.key).collect();
-                            for k in doomed {
-                                cat.delete(k)?;
-                            }
-                        }
+                let cat = self.catalog.get_mut(table).expect("catalog mirrors stores");
+                match mirror_ops(cat, ops) {
+                    Ok(log) => cat_undo.push((table, log)),
+                    Err(e) => {
+                        unmirror_runs(&mut self.catalog, cat_undo);
+                        return Err(e.into());
                     }
                 }
             }
@@ -1231,13 +1256,10 @@ impl<S: AuthScheme> CentralServer<S> {
                         for (t, snapshot) in undo {
                             self.stores.insert(t, snapshot);
                         }
+                        unmirror_runs(&mut self.catalog, cat_undo);
                         return Err(CentralError::Scheme(e));
                     }
                 }
-            }
-            // 3. Install the staged catalog tables (infallible).
-            for (_, table) in staged_cat {
-                self.catalog.put(table);
             }
             Ok(run_payloads)
         })();

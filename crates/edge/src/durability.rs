@@ -36,7 +36,7 @@
 //! when its commit is acked, and `enqueue_update` acks only the flushed
 //! batches.
 
-use crate::central::{CentralError, CentralServer, DeltaLog, LogEntry};
+use crate::central::{mirror_ops, CentralError, CentralServer, DeltaLog, LogEntry};
 use crate::locks::LockManager;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -549,22 +549,7 @@ impl<S: DurableScheme> CentralServer<S> {
             .catalog
             .get_mut(table)
             .ok_or_else(|| CentralError::UnknownTable(table.to_string()))?;
-        for op in ops {
-            match op {
-                UpdateOp::Insert(tuple) => {
-                    cat.insert(tuple.clone())?;
-                }
-                UpdateOp::Delete(key) => {
-                    cat.delete(*key)?;
-                }
-                UpdateOp::DeleteRange(lo, hi) => {
-                    let doomed: Vec<u64> = cat.range(*lo, *hi).map(|t| t.key).collect();
-                    for k in doomed {
-                        cat.delete(k)?;
-                    }
-                }
-            }
-        }
+        mirror_ops(cat, ops)?;
         self.refresh_views_for(table)
     }
 }

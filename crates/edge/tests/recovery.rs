@@ -20,8 +20,9 @@ use vbx_crypto::{Acc256, Signer};
 use vbx_edge::{
     CentralError, CentralServer, ClusterCoordinator, ClusterError, DurabilityConfig, UpdateOp,
 };
+use vbx_storage::wal::WAL_FILE;
 use vbx_storage::workload::WorkloadSpec;
-use vbx_storage::{FailPoint, FailpointFs, Schema, Tuple, Value, Vfs};
+use vbx_storage::{FailPoint, FailpointFs, MemVfs, Schema, Tuple, Value, Vfs};
 
 const TABLE: &str = "t0";
 const TABLE2: &str = "t1";
@@ -555,6 +556,91 @@ fn torn_commit_txn_never_recovers_a_table_subset() {
             recovered.delta_log().next_seq(),
             expect_seq,
             "{ctx} log head disagrees with recovered stores"
+        );
+    }
+}
+
+#[test]
+fn failed_commit_txn_rolls_back_to_the_byte() {
+    // The catalog half of a txn's undo is an op log replayed backwards,
+    // not a table copy: after a conflict anywhere in the txn the full
+    // recoverable state, the WAL and the delta log must be exactly what
+    // they were, and the next valid txn must land where it would have.
+    let durable = || {
+        let signer: Arc<dyn Signer> = Arc::new(MockSigner::new(31));
+        let vfs = Arc::new(MemVfs::new());
+        let mut central = CentralServer::with_scheme(vb(), signer)
+            .with_delta_retention(RETENTION)
+            .with_durability(vfs.clone(), config())
+            .expect("durability init");
+        central.create_table(spec().build());
+        central.create_table(spec2().build());
+        (central, vfs)
+    };
+    let (mut central, vfs) = durable();
+    let (mut control, _) = durable();
+    let s0 = central.schema(TABLE).unwrap().clone();
+    let s1 = central.schema(TABLE2).unwrap().clone();
+    let ins = |schema: &Schema, key| UpdateOp::Insert(tuple(schema, key));
+    // Rows 0..8 exist in both tables.
+    let doomed: [(&str, Vec<(&str, UpdateOp)>); 3] = [
+        (
+            "duplicate key in the second table's section",
+            vec![
+                (TABLE, ins(&s0, 600)),
+                (TABLE, UpdateOp::Delete(1)),
+                (TABLE2, ins(&s1, 601)),
+                (TABLE2, ins(&s1, 2)),
+            ],
+        ),
+        (
+            "missing key after earlier ops of its table applied",
+            vec![
+                (TABLE2, ins(&s1, 610)),
+                (TABLE, ins(&s0, 611)),
+                (TABLE, UpdateOp::Delete(3)),
+                (TABLE, UpdateOp::Delete(999)),
+            ],
+        ),
+        (
+            "range delete followed by a failing op",
+            vec![(TABLE, UpdateOp::DeleteRange(0, 5)), (TABLE, ins(&s0, 6))],
+        ),
+    ];
+    for (what, stages) in doomed {
+        let before = (
+            central.encode_state(),
+            vfs.read(WAL_FILE).expect("readable WAL"),
+            central.delta_log().len(),
+            central.delta_log().next_seq(),
+        );
+        let mut txn = central.begin_txn();
+        for (table, op) in stages {
+            txn.stage(table, op);
+        }
+        let err = central.commit_txn(txn).expect_err(what);
+        assert!(matches!(err, CentralError::Storage(_)), "{what}: {err}");
+        let after = (
+            central.encode_state(),
+            vfs.read(WAL_FILE).expect("readable WAL"),
+            central.delta_log().len(),
+            central.delta_log().next_seq(),
+        );
+        assert!(before == after, "{what}: the failed txn left a trace");
+
+        // The next valid txn commits at the seq, and to the bytes, of a
+        // control that never saw the doomed one.
+        let key = 700 + central.delta_log().next_seq();
+        for server in [&mut central, &mut control] {
+            let mut txn = server.begin_txn();
+            txn.stage(TABLE, ins(&s0, key))
+                .stage(TABLE2, ins(&s1, key + 1));
+            let committed = server.commit_txn(txn).expect("valid txn");
+            assert_eq!(committed.start_seq(), before.3, "{what}: seq moved");
+        }
+        assert!(
+            central.encode_state() == control.encode_state(),
+            "{what}: diverged from the control after the next commit"
         );
     }
 }

@@ -38,34 +38,61 @@ const MAGIC: &[u8; 8] = b"VWAL1\x00\x00\x00";
 /// (a "length lie" can otherwise ask for gigabytes).
 pub const MAX_RECORD_LEN: u32 = 1 << 28;
 
+/// Look-up tables for [`crc32`], slicing-by-8: `[0]` is the classic
+/// byte table, and `[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, so eight input bytes fold in with eight independent look-ups
+/// instead of a chain of dependent ones.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes`.
 /// Implemented locally — the workspace builds offline with no
 /// checksum crate available.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    // Small 16-entry nibble table: 64 bytes of table, ~2 lookups/byte.
-    const TABLE: [u32; 16] = {
-        let mut t = [0u32; 16];
-        let mut i = 0;
-        while i < 16 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 4 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            t[i] = c;
-            i += 1;
-        }
-        t
-    };
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0x0F) as usize] ^ (crc >> 4);
-        crc = TABLE[((crc ^ (b as u32 >> 4)) & 0x0F) as usize] ^ (crc >> 4);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -233,6 +260,57 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The nibble-table implementation [`crc32`] replaced, kept as the
+    /// oracle: 16 entries, two dependent look-ups per byte.
+    fn crc32_nibble(bytes: &[u8]) -> u32 {
+        const TABLE: [u32; 16] = {
+            let mut t = [0u32; 16];
+            let mut i = 0;
+            while i < 16 {
+                let mut c = i as u32;
+                let mut k = 0;
+                while k < 4 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                    k += 1;
+                }
+                t[i] = c;
+                i += 1;
+            }
+            t
+        };
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = TABLE[((crc ^ b as u32) & 0x0F) as usize] ^ (crc >> 4);
+            crc = TABLE[((crc ^ (b as u32 >> 4)) & 0x0F) as usize] ^ (crc >> 4);
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_nibble_oracle() {
+        use rand::{Rng, RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC4C3_2026);
+        let mut buf = vec![0u8; 20_000];
+        rng.fill_bytes(&mut buf);
+        // Every length around the 8-byte stride, at every alignment of
+        // the tail, then whole frames.
+        for len in 0..=64 {
+            for start in 0..8 {
+                let part = &buf[start..start + len];
+                assert_eq!(crc32(part), crc32_nibble(part), "len {len} at {start}");
+            }
+        }
+        for _ in 0..32 {
+            let len = rng.gen_range(65..=buf.len());
+            rng.fill_bytes(&mut buf[..len]);
+            assert_eq!(crc32(&buf[..len]), crc32_nibble(&buf[..len]), "len {len}");
+        }
     }
 
     fn mem_wal() -> (Arc<MemVfs>, Wal) {
