@@ -230,9 +230,12 @@ pub fn measured_compute(
         .verify(fix.signer.verifier().as_ref(), &q, &resp)
         .expect("honest response verifies");
 
+    // Priced by the paper's model — one `Cost_s` per signed digest in
+    // the VO — not by the checks the screening client actually ran
+    // (`meter.verify_ops`, one per response).
     let vb_cost = report.meter.hash_ops as f64
         + report.meter.combine_ops as f64 * params.combine_ratio
-        + report.meter.verify_ops as f64 * params.x;
+        + resp.vo.digest_count() as f64 * params.x;
 
     // Naive: run the real verifier and price its operations.
     let naive_resp = fix.naive.query(0, hi, proj.as_deref(), None);

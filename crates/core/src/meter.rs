@@ -19,8 +19,8 @@ pub struct CostMeter {
     pub combine_ops: u64,
     /// Signature creations (central server only).
     pub sign_ops: u64,
-    /// Signature verifications (`Cost_s` — the paper's dominant client
-    /// cost).
+    /// Signature verifications run (`Cost_s` — the paper's dominant
+    /// client cost; a screen sweep over a whole response counts once).
     pub verify_ops: u64,
     /// Lifts `g^E mod p` (evaluations of the paper's `h(x)` at the top of
     /// the enveloping subtree).

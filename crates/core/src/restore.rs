@@ -16,7 +16,10 @@
 //!   match the signed attribute digests, the tuple exponent must be
 //!   their product, the leaf exponent must be the product of its tuple
 //!   exponents and equal the skeleton's pinned digest, and every
-//!   attribute/tuple signature must verify.
+//!   attribute/tuple digest must be owner-signed.
+//!
+//! Signatures are authenticated by one [`SigScreen`] per chunk, closed
+//! before any of the chunk is installed.
 //!
 //! A flipped bit, a reordered chunk, a truncated stream, or a source
 //! that committed mid-transfer all surface as a typed [`SyncError`]
@@ -31,7 +34,7 @@ use crate::{CoreError, CostMeter};
 use bytes::Buf;
 use std::sync::Arc;
 use vbx_crypto::accum::{Accumulator, DigestRole, SignedDigest};
-use vbx_crypto::SigVerifier;
+use vbx_crypto::{SigScreen, SigVerifier};
 use vbx_storage::{Geometry, Schema, Tuple};
 
 /// One pinned leaf: where it goes in the arena, the signed digest it
@@ -41,6 +44,26 @@ struct LeafSlot<const L: usize> {
     digest: SignedDigest<L>,
     lo: Option<u64>,
     hi: Option<u64>,
+}
+
+/// Which signed digest of a chunk a screen entry is — rendered only
+/// when that entry turns out to be the bad one.
+enum SigSite {
+    Leaf(usize),
+    Internal,
+    Attribute { key: u64, col: usize },
+    Tuple { key: u64 },
+}
+
+impl From<SigSite> for SyncError {
+    fn from(site: SigSite) -> Self {
+        SyncError::BadSignature(match site {
+            SigSite::Leaf(i) => format!("leaf {i} digest"),
+            SigSite::Internal => "internal node digest".into(),
+            SigSite::Attribute { key, col } => format!("attribute digest of key {key} col {col}"),
+            SigSite::Tuple { key } => format!("tuple digest of key {key}"),
+        })
+    }
 }
 
 /// Everything chunk 0 pinned; leaf chunks fill the arena in.
@@ -204,8 +227,10 @@ impl<const L: usize> Restorer<L> {
 
         let mut nodes = Vec::new();
         let mut leaves = Vec::new();
+        let mut screen = SigScreen::new(self.verifier.as_ref());
         let (root, _root_digest, depth) =
-            self.decode_skeleton_node(buf, None, None, &mut nodes, &mut leaves)?;
+            self.decode_skeleton_node(buf, None, None, &mut nodes, &mut leaves, &mut screen)?;
+        screen.finish()?;
         if depth != height {
             return Err(SyncError::DigestMismatch(format!(
                 "height mismatch: skeleton depth {depth}, header pinned {height}"
@@ -238,10 +263,10 @@ impl<const L: usize> Restorer<L> {
         Ok(())
     }
 
-    /// Decode one skeleton node (preorder), verifying signatures,
-    /// exponent products, separator order, and depth uniformity as it
-    /// goes. Leaves become pinned [`LeafSlot`]s with an empty arena
-    /// slot. Returns `(arena id, digest, depth)`.
+    /// Decode one skeleton node (preorder), queueing its signature on
+    /// `screen` and verifying exponent products, separator order, and
+    /// depth uniformity as it goes. Leaves become pinned [`LeafSlot`]s
+    /// with an empty arena slot. Returns `(arena id, digest, depth)`.
     fn decode_skeleton_node(
         &self,
         buf: &mut &[u8],
@@ -249,6 +274,7 @@ impl<const L: usize> Restorer<L> {
         hi: Option<u64>,
         nodes: &mut Vec<Option<Arc<Node<L>>>>,
         leaves: &mut Vec<LeafSlot<L>>,
+        screen: &mut SigScreen<'_, SigSite>,
     ) -> Result<(NodeId, SignedDigest<L>, u32), SyncError> {
         if !buf.has_remaining() {
             return Err(SyncError::Malformed("skeleton node truncated".into()));
@@ -256,12 +282,8 @@ impl<const L: usize> Restorer<L> {
         match buf.get_u8() {
             0 => {
                 let digest = get_digest(buf, &self.acc, Some(DigestRole::Node))?;
-                if !self.acc.verify_digest(self.verifier.as_ref(), &digest) {
-                    return Err(SyncError::BadSignature(format!(
-                        "leaf {} digest",
-                        leaves.len()
-                    )));
-                }
+                self.acc
+                    .screen_digest(screen, SigSite::Leaf(leaves.len()), &digest)?;
                 nodes.push(None);
                 let id = nodes.len() - 1;
                 leaves.push(LeafSlot {
@@ -274,9 +296,7 @@ impl<const L: usize> Restorer<L> {
             }
             1 => {
                 let digest = get_digest(buf, &self.acc, Some(DigestRole::Node))?;
-                if !self.acc.verify_digest(self.verifier.as_ref(), &digest) {
-                    return Err(SyncError::BadSignature("internal node digest".into()));
-                }
+                self.acc.screen_digest(screen, SigSite::Internal, &digest)?;
                 if buf.remaining() < 4 {
                     return Err(SyncError::Malformed("child count truncated".into()));
                 }
@@ -305,7 +325,7 @@ impl<const L: usize> Restorer<L> {
                         }
                     }
                     let (child, child_digest, d) =
-                        self.decode_skeleton_node(buf, clo, chi, nodes, leaves)?;
+                        self.decode_skeleton_node(buf, clo, chi, nodes, leaves, screen)?;
                     if let Some(prev) = depth {
                         if prev != d {
                             return Err(SyncError::Malformed("ragged skeleton depth".into()));
@@ -371,6 +391,9 @@ impl<const L: usize> Restorer<L> {
             )));
         }
         let n_cols = plan.schema.num_columns();
+        // Built aside: nothing is installed until the screen has passed.
+        let mut screen = SigScreen::new(self.verifier.as_ref());
+        let mut built = Vec::with_capacity(count);
         for slot in &plan.leaves[start..start + count] {
             if buf.remaining() < 4 {
                 return Err(SyncError::Malformed("leaf entry count truncated".into()));
@@ -410,11 +433,8 @@ impl<const L: usize> Restorer<L> {
                             "attribute digest of key {k} col {col} does not match its value"
                         )));
                     }
-                    if !self.acc.verify_digest(self.verifier.as_ref(), &d) {
-                        return Err(SyncError::BadSignature(format!(
-                            "attribute digest of key {k} col {col}"
-                        )));
-                    }
+                    self.acc
+                        .screen_digest(&mut screen, SigSite::Attribute { key: k, col }, &d)?;
                     tuple_exp = self.acc.combine(&tuple_exp, &d.exp);
                     attr_digests.push(d);
                 }
@@ -424,12 +444,8 @@ impl<const L: usize> Restorer<L> {
                         "tuple digest of key {k} is not the product of its attributes"
                     )));
                 }
-                if !self
-                    .acc
-                    .verify_digest(self.verifier.as_ref(), &tuple_digest)
-                {
-                    return Err(SyncError::BadSignature(format!("tuple digest of key {k}")));
-                }
+                self.acc
+                    .screen_digest(&mut screen, SigSite::Tuple { key: k }, &tuple_digest)?;
                 leaf_exp = self.acc.combine(&leaf_exp, &tuple_digest.exp);
                 entries.push(TupleEntry {
                     tuple,
@@ -442,11 +458,18 @@ impl<const L: usize> Restorer<L> {
                     "leaf exponent does not match the skeleton's pinned digest".into(),
                 ));
             }
-            plan.tuples += entries.len() as u64;
-            plan.nodes[slot.id] = Some(Arc::new(Node::Leaf(LeafNode {
-                entries,
-                digest: slot.digest.clone(),
-            })));
+            built.push((
+                slot.id,
+                LeafNode {
+                    entries,
+                    digest: slot.digest.clone(),
+                },
+            ));
+        }
+        screen.finish()?;
+        for (id, leaf) in built {
+            plan.tuples += leaf.entries.len() as u64;
+            plan.nodes[id] = Some(Arc::new(Node::Leaf(leaf)));
         }
         plan.next_leaf += count;
         Ok(())

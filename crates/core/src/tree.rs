@@ -23,7 +23,7 @@ use crate::CoreError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vbx_crypto::accum::{Accumulator, DigestRole, SignedDigest};
-use vbx_crypto::{SigVerifier, Signer};
+use vbx_crypto::{SigScreen, SigVerifier, Signer};
 use vbx_mathx::Uint;
 use vbx_storage::{Geometry, Schema, Table, Tuple};
 
@@ -1373,10 +1373,13 @@ impl<const L: usize> VbTree<L> {
 
     /// Exhaustive invariant check (tests and property tests):
     /// key order, separator correctness, uniform depth, digest
-    /// consistency, and (optionally) every signature.
+    /// consistency, and (optionally) that every digest is owner-signed
+    /// — one signature screen over the whole tree, closed after the
+    /// structural walk.
     pub fn check_integrity(&self, verifier: Option<&dyn SigVerifier>) -> Result<(), CoreError> {
         let mut count = 0u64;
-        let depth = self.check_node(self.root, None, None, verifier, &mut count)?;
+        let mut screen = verifier.map(SigScreen::new);
+        let depth = self.check_node(self.root, None, None, &mut screen, &mut count)?;
         if depth != self.height {
             return Err(CoreError::InvariantViolation(format!(
                 "height mismatch: computed {depth}, stored {}",
@@ -1389,6 +1392,9 @@ impl<const L: usize> VbTree<L> {
                 self.len
             )));
         }
+        if let Some(screen) = screen {
+            screen.finish()?;
+        }
         Ok(())
     }
 
@@ -1397,15 +1403,14 @@ impl<const L: usize> VbTree<L> {
         id: NodeId,
         lo: Option<u64>,
         hi: Option<u64>,
-        verifier: Option<&dyn SigVerifier>,
+        screen: &mut Option<SigScreen<'_, AuditSite>>,
         count: &mut u64,
     ) -> Result<u32, CoreError> {
         let viol = |m: String| Err(CoreError::InvariantViolation(m));
         let node = self.node(id);
-        if let Some(v) = verifier {
-            if !self.acc.verify_digest(v, node.digest()) {
-                return viol(format!("node {id}: bad digest signature"));
-            }
+        if let Some(screen) = screen {
+            self.acc
+                .screen_digest(screen, AuditSite::Node(id), node.digest())?;
         }
         match node {
             Node::Leaf(n) => {
@@ -1437,14 +1442,11 @@ impl<const L: usize> VbTree<L> {
                     if te != e.tuple_digest.exp {
                         return viol(format!("leaf {id}: tuple digest mismatch key {k}"));
                     }
-                    if let Some(v) = verifier {
-                        if !self.acc.verify_digest(v, &e.tuple_digest) {
-                            return viol(format!("leaf {id}: bad tuple signature key {k}"));
-                        }
+                    if let Some(screen) = screen {
+                        self.acc
+                            .screen_digest(screen, AuditSite::Tuple(id, k), &e.tuple_digest)?;
                         for d in &e.attr_digests {
-                            if !self.acc.verify_digest(v, d) {
-                                return viol(format!("leaf {id}: bad attr signature key {k}"));
-                            }
+                            self.acc.screen_digest(screen, AuditSite::Attr(id, k), d)?;
                         }
                     }
                     expected = self.acc.combine(&expected, &e.tuple_digest.exp);
@@ -1476,7 +1478,7 @@ impl<const L: usize> VbTree<L> {
                             return viol(format!("internal {id}: separators not increasing"));
                         }
                     }
-                    let d = self.check_node(c, clo, chi, verifier, count)?;
+                    let d = self.check_node(c, clo, chi, screen, count)?;
                     if let Some(prev) = depth {
                         if prev != d {
                             return viol(format!("internal {id}: ragged depth"));
@@ -1491,6 +1493,24 @@ impl<const L: usize> VbTree<L> {
                 Ok(depth.unwrap() + 1)
             }
         }
+    }
+}
+
+/// Which signed digest of an audited tree a screen entry is — rendered
+/// only when that entry turns out to be the bad one.
+enum AuditSite {
+    Node(NodeId),
+    Tuple(NodeId, u64),
+    Attr(NodeId, u64),
+}
+
+impl From<AuditSite> for CoreError {
+    fn from(site: AuditSite) -> Self {
+        CoreError::InvariantViolation(match site {
+            AuditSite::Node(id) => format!("node {id}: bad digest signature"),
+            AuditSite::Tuple(id, k) => format!("leaf {id}: bad tuple signature key {k}"),
+            AuditSite::Attr(id, k) => format!("leaf {id}: bad attr signature key {k}"),
+        })
     }
 }
 

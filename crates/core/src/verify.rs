@@ -11,7 +11,8 @@
 use crate::meter::CostMeter;
 use crate::vo::{CompactResponse, QueryResponse, RangeQuery, ResultRow, VoOp};
 use vbx_crypto::accum::{signed_payload, Accumulator, DigestRole, SignedDigest};
-use vbx_crypto::{AggregateVerify, SigVerifier, Signature, Signer};
+use vbx_crypto::signer::SWEEP_BOUND;
+use vbx_crypto::{AggregateVerify, SigScreen, SigVerifier, Signature, Signer};
 use vbx_mathx::Uint;
 use vbx_storage::Schema;
 
@@ -240,9 +241,11 @@ impl std::error::Error for VerifyError {}
 pub struct VerifyReport {
     /// Rows verified.
     pub rows: usize,
-    /// Signatures checked (`Cost_s` events — the dominant client cost in
-    /// the paper's model). With an aggregated compact VO this is 1 for
-    /// the whole batch (plus 1 when a freshness stamp is enforced).
+    /// Signature checks actually run (`Cost_s` events — the dominant
+    /// client cost in the paper's model, which pays one per digest). The
+    /// signature screen makes this 1 per response, flat or compact (plus
+    /// 1 when a freshness stamp is enforced); it grows to one per digest
+    /// only on the per-signature fallback.
     pub signatures_checked: usize,
     /// Peak digest-frame stack depth of the compact stack-machine
     /// verifier — bounded by the enveloping subtree's height, the
@@ -411,15 +414,19 @@ impl<'a, const L: usize> ClientVerifier<'a, L> {
             }
         }
 
+        // One signature screen over D_P ‖ D_S ‖ top: every shipped digest
+        // message must be owner-signed (see `SigScreen`).
+        let mut screen = SigScreen::new(verifier);
+        let bad_sig = |part| VerifyError::BadSignature { part };
+
         // --- D_P: filtered attributes ---
         for d in &resp.vo.d_p {
             if d.role != DigestRole::Attribute {
                 return Err(VerifyError::WrongRole { part: "D_P" });
             }
-            meter.verify_ops += 1;
-            if !self.acc.verify_digest(verifier, d) {
-                return Err(VerifyError::BadSignature { part: "D_P" });
-            }
+            self.acc
+                .screen_digest(&mut screen, "D_P", d)
+                .map_err(bad_sig)?;
             total = self.acc.combine(&total, &d.exp);
             meter.combine_ops += 1;
         }
@@ -429,10 +436,9 @@ impl<'a, const L: usize> ClientVerifier<'a, L> {
             if d.role != DigestRole::Tuple && d.role != DigestRole::Node {
                 return Err(VerifyError::WrongRole { part: "D_S" });
             }
-            meter.verify_ops += 1;
-            if !self.acc.verify_digest(verifier, d) {
-                return Err(VerifyError::BadSignature { part: "D_S" });
-            }
+            self.acc
+                .screen_digest(&mut screen, "D_S", d)
+                .map_err(bad_sig)?;
             total = self.acc.combine(&total, &d.exp);
             meter.combine_ops += 1;
         }
@@ -441,10 +447,10 @@ impl<'a, const L: usize> ClientVerifier<'a, L> {
         if resp.vo.top.role != DigestRole::Node {
             return Err(VerifyError::WrongRole { part: "top" });
         }
-        meter.verify_ops += 1;
-        if !self.acc.verify_digest(verifier, &resp.vo.top) {
-            return Err(VerifyError::BadSignature { part: "top" });
-        }
+        self.acc
+            .screen_digest(&mut screen, "top", &resp.vo.top)
+            .map_err(bad_sig)?;
+        meter.verify_ops += screen.finish().map_err(bad_sig)? as u64;
 
         // --- Lemma 1/2: compare in the value domain, h(x) = g^x mod p ---
         let lifted = self.acc.lift(&total);
@@ -501,13 +507,12 @@ impl<'a, const L: usize> ClientVerifier<'a, L> {
         }
         let mut sweep = AggSweep::begin(verifier, resp.agg_sig.as_ref())?;
         for d in &resp.dict {
-            check_vo_digest(self.acc, verifier, d, "dict", &mut sweep, &mut meter)?;
+            check_vo_digest(self.acc, d, "dict", &mut sweep, &mut meter)?;
         }
         let mut peak = 0usize;
         let mut total_rows = 0usize;
         for (part, query) in resp.parts.iter().zip(queries) {
-            let mut machine =
-                PartMachine::start(self, verifier, query, &part.top, &mut sweep, &mut meter)?;
+            let mut machine = PartMachine::start(self, query, &part.top, &mut sweep, &mut meter)?;
             let mut next_row = 0usize;
             for op in &part.ops {
                 let ev = match op {
@@ -525,7 +530,7 @@ impl<'a, const L: usize> ClientVerifier<'a, L> {
                         OpEvent::Row(row)
                     }
                 };
-                machine.step(ev, verifier, &resp.dict, &mut sweep, &mut meter)?;
+                machine.step(ev, &resp.dict, &mut sweep, &mut meter)?;
             }
             if next_row != part.rows.len() {
                 return Err(VerifyError::MalformedVo {
@@ -577,7 +582,7 @@ impl<'a, const L: usize> ClientVerifier<'a, L> {
         }
         let mut sweep = AggSweep::begin(verifier, stream.agg_sig())?;
         for d in stream.dict() {
-            check_vo_digest(self.acc, verifier, d, "dict", &mut sweep, &mut meter)?;
+            check_vo_digest(self.acc, d, "dict", &mut sweep, &mut meter)?;
         }
         // The dictionary is the machine's only buffered digests; clone
         // it out so the stream can keep advancing.
@@ -588,8 +593,7 @@ impl<'a, const L: usize> ClientVerifier<'a, L> {
             let part = stream
                 .begin_part()
                 .map_err(|_| malformed("undecodable part header"))?;
-            let mut machine =
-                PartMachine::start(self, verifier, query, &part.top, &mut sweep, &mut meter)?;
+            let mut machine = PartMachine::start(self, query, &part.top, &mut sweep, &mut meter)?;
             let mut rows_seen = 0u32;
             for _ in 0..part.op_count {
                 let op = stream
@@ -597,26 +601,20 @@ impl<'a, const L: usize> ClientVerifier<'a, L> {
                     .map_err(|_| malformed("undecodable op stream"))?;
                 match op {
                     crate::wire::StreamOp::Begin => {
-                        machine.step(OpEvent::Begin, verifier, &dict, &mut sweep, &mut meter)?
+                        machine.step(OpEvent::Begin, &dict, &mut sweep, &mut meter)?
                     }
                     crate::wire::StreamOp::End => {
-                        machine.step(OpEvent::End, verifier, &dict, &mut sweep, &mut meter)?
+                        machine.step(OpEvent::End, &dict, &mut sweep, &mut meter)?
                     }
                     crate::wire::StreamOp::Push(d) => {
-                        machine.step(OpEvent::Push(&d), verifier, &dict, &mut sweep, &mut meter)?
+                        machine.step(OpEvent::Push(&d), &dict, &mut sweep, &mut meter)?
                     }
                     crate::wire::StreamOp::Ref(i) => {
-                        machine.step(OpEvent::Ref(i), verifier, &dict, &mut sweep, &mut meter)?
+                        machine.step(OpEvent::Ref(i), &dict, &mut sweep, &mut meter)?
                     }
                     crate::wire::StreamOp::Row(row) => {
                         rows_seen += 1;
-                        machine.step(
-                            OpEvent::Row(&row),
-                            verifier,
-                            &dict,
-                            &mut sweep,
-                            &mut meter,
-                        )?;
+                        machine.step(OpEvent::Row(&row), &dict, &mut sweep, &mut meter)?;
                         on_row(pi, row);
                     }
                 }
@@ -667,92 +665,95 @@ enum OpEvent<'x, const L: usize> {
     Ref(u32),
 }
 
-/// The single amortised signature sweep over a compact response's bare
-/// digests. Present exactly when the response carries an aggregate
-/// signature; absorbing a bare digest without one (or without a
+/// Signature authentication of a compact response: the sweep over its
+/// bare digests, present exactly when the response carries an aggregate
+/// signature — absorbing a bare digest without one (or without a
 /// verifier that can aggregate) is a verification failure, never a
-/// silent skip.
-struct AggSweep {
+/// silent skip — and the screen over its individually signed digests.
+struct AggSweep<'v> {
     state: Option<Box<dyn AggregateVerify>>,
     agg: Option<Signature>,
+    /// Bare digests absorbed so far.
+    absorbed: u64,
+    screen: SigScreen<'v, &'static str>,
 }
 
-impl AggSweep {
-    fn begin(verifier: &dyn SigVerifier, agg: Option<&Signature>) -> Result<Self, VerifyError> {
-        match agg {
-            Some(sig) => {
-                let Some(state) = verifier.begin_aggregate() else {
-                    return Err(VerifyError::BadSignature { part: "aggregate" });
-                };
-                Ok(Self {
-                    state: Some(state),
-                    agg: Some(sig.clone()),
-                })
-            }
-            None => Ok(Self {
-                state: None,
-                agg: None,
-            }),
-        }
+impl<'v> AggSweep<'v> {
+    fn begin(verifier: &'v dyn SigVerifier, agg: Option<&Signature>) -> Result<Self, VerifyError> {
+        let state = match agg {
+            Some(_) => Some(
+                verifier
+                    .begin_aggregate()
+                    .ok_or(VerifyError::BadSignature { part: "aggregate" })?,
+            ),
+            None => None,
+        };
+        Ok(Self {
+            state,
+            agg: agg.cloned(),
+            absorbed: 0,
+            screen: SigScreen::new(verifier),
+        })
     }
 
     fn absorb(&mut self, msg: &[u8]) -> Result<(), VerifyError> {
-        match &mut self.state {
-            Some(st) => {
-                st.absorb(msg);
-                Ok(())
-            }
+        let Some(st) = &mut self.state else {
             // A bare digest in a response with no aggregate signature
             // has no authentication at all.
-            None => Err(VerifyError::BadSignature { part: "aggregate" }),
+            return Err(VerifyError::BadSignature { part: "aggregate" });
+        };
+        // The sweep would reject at `finish` anyway; stop before hashing
+        // the rest of a hostile stream.
+        self.absorbed += 1;
+        if self.absorbed >= SWEEP_BOUND {
+            return Err(VerifyError::MalformedVo {
+                reason: "too many digests for one signature sweep",
+            });
         }
+        st.absorb(msg);
+        Ok(())
     }
 
     fn finish(self, meter: &mut CostMeter) -> Result<(), VerifyError> {
-        match (self.state, self.agg) {
-            (Some(st), Some(agg)) => {
-                meter.verify_ops += 1;
-                if st.finish(&agg) {
-                    Ok(())
-                } else {
-                    Err(VerifyError::BadSignature { part: "aggregate" })
-                }
+        let checks = self
+            .screen
+            .finish()
+            .map_err(|part| VerifyError::BadSignature { part })?;
+        meter.verify_ops += checks as u64;
+        if let (Some(st), Some(agg)) = (self.state, self.agg) {
+            meter.verify_ops += 1;
+            if !st.finish(&agg) {
+                return Err(VerifyError::BadSignature { part: "aggregate" });
             }
-            _ => Ok(()),
         }
+        Ok(())
     }
 }
 
 /// Authenticate one shipped digest: range-check the exponent, then
-/// either verify its individual signature or absorb its signed payload
-/// into the aggregate sweep.
+/// either queue its individual signature on the screen or absorb its
+/// signed payload into the aggregate sweep.
 fn check_vo_digest<const L: usize>(
     acc: &Accumulator<L>,
-    verifier: &dyn SigVerifier,
     d: &SignedDigest<L>,
     part: &'static str,
-    sweep: &mut AggSweep,
+    sweep: &mut AggSweep<'_>,
     meter: &mut CostMeter,
 ) -> Result<(), VerifyError> {
     if d.role == DigestRole::Root {
         return Err(VerifyError::WrongRole { part });
     }
-    let exp_bytes = acc.exp_to_bytes(&d.exp);
-    if acc.exp_from_canonical(&exp_bytes).is_none() {
+    if d.exp.is_zero() || d.exp >= acc.group().q {
         return Err(VerifyError::MalformedVo {
             reason: "digest exponent out of range",
         });
     }
     if d.sig.is_empty() {
         meter.hash_ops += 1;
-        sweep.absorb(&signed_payload(d.role, &exp_bytes))
+        sweep.absorb(&signed_payload(d.role, &acc.exp_to_bytes(&d.exp)))
     } else {
-        meter.verify_ops += 1;
-        if acc.verify_digest(verifier, d) {
-            Ok(())
-        } else {
-            Err(VerifyError::BadSignature { part })
-        }
+        acc.screen_digest(&mut sweep.screen, part, d)
+            .map_err(|part| VerifyError::BadSignature { part })
     }
 }
 
@@ -781,10 +782,9 @@ impl<'a, 'q, const L: usize> PartMachine<'a, 'q, L> {
     /// the aggregate absorb order) and set up the frame stack.
     fn start(
         cv: &ClientVerifier<'a, L>,
-        verifier: &dyn SigVerifier,
         query: &'q RangeQuery,
         top: &SignedDigest<L>,
-        sweep: &mut AggSweep,
+        sweep: &mut AggSweep<'_>,
         meter: &mut CostMeter,
     ) -> Result<Self, VerifyError> {
         let num_cols = cv.schema.num_columns();
@@ -795,7 +795,7 @@ impl<'a, 'q, const L: usize> PartMachine<'a, 'q, L> {
         if top.role != DigestRole::Node {
             return Err(VerifyError::WrongRole { part: "top" });
         }
-        check_vo_digest(cv.acc, verifier, top, "top", sweep, meter)?;
+        check_vo_digest(cv.acc, top, "top", sweep, meter)?;
         let filtered_cols = num_cols - returned.len();
         Ok(Self {
             acc: cv.acc,
@@ -820,9 +820,8 @@ impl<'a, 'q, const L: usize> PartMachine<'a, 'q, L> {
     fn step(
         &mut self,
         ev: OpEvent<'_, L>,
-        verifier: &dyn SigVerifier,
         dict: &[SignedDigest<L>],
-        sweep: &mut AggSweep,
+        sweep: &mut AggSweep<'_>,
         meter: &mut CostMeter,
     ) -> Result<(), VerifyError> {
         match ev {
@@ -845,7 +844,7 @@ impl<'a, 'q, const L: usize> PartMachine<'a, 'q, L> {
                 self.fold(&closed, meter);
             }
             OpEvent::Push(d) => {
-                check_vo_digest(self.acc, verifier, d, "ops", sweep, meter)?;
+                check_vo_digest(self.acc, d, "ops", sweep, meter)?;
                 if d.role == DigestRole::Attribute {
                     self.attr_folds += 1;
                 }

@@ -11,19 +11,31 @@ use vbx_core::{
     execute, ClientVerifier, RangeQuery, Restorer, SyncError, TreeChunks, VbTree, VbTreeConfig,
 };
 use vbx_crypto::signer::{MockSigner, Signer};
-use vbx_crypto::Acc256;
+use vbx_crypto::{rsa, Acc256};
 use vbx_storage::workload::WorkloadSpec;
 
-fn tree(rows: u64, fanout: usize) -> (VbTree<4>, MockSigner) {
+fn tree_with(rows: u64, fanout: usize, signer: &dyn Signer) -> VbTree<4> {
     let table = WorkloadSpec::new(rows, 3, 8).build();
-    let signer = MockSigner::new(6);
-    let t = VbTree::bulk_load(
+    VbTree::bulk_load(
         &table,
         VbTreeConfig::with_fanout(fanout),
         Acc256::test_default(),
-        &signer,
-    );
-    (t, signer)
+        signer,
+    )
+}
+
+fn tree(rows: u64, fanout: usize) -> (VbTree<4>, MockSigner) {
+    let signer = MockSigner::new(6);
+    (tree_with(rows, fanout, &signer), signer)
+}
+
+/// The tamper matrix runs under both sweeps: the mock MAC chain and
+/// condensed RSA.
+fn signers() -> [Box<dyn Signer>; 2] {
+    [
+        Box::new(MockSigner::new(6)),
+        Box::new(rsa::fixture_keypair_crt_512()),
+    ]
 }
 
 fn chunks_of(t: &VbTree<4>, per_chunk: usize) -> Vec<Vec<u8>> {
@@ -33,7 +45,7 @@ fn chunks_of(t: &VbTree<4>, per_chunk: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn restore(chunks: &[Vec<u8>], signer: &MockSigner) -> Result<VbTree<4>, SyncError> {
+fn restore(chunks: &[Vec<u8>], signer: &dyn Signer) -> Result<VbTree<4>, SyncError> {
     let mut r = Restorer::new(Acc256::test_default(), signer.verifier());
     for c in chunks {
         r.ingest(c)?;
@@ -71,27 +83,43 @@ fn faithful_stream_rebuilds_an_equivalent_tree() {
 
 #[test]
 fn every_single_bit_flip_in_a_leaf_chunk_is_caught_mid_stream() {
-    let (t, signer) = tree(60, 4);
-    let chunks = chunks_of(&t, 4);
-    // Flip a sample of bits across the whole second chunk (a leaf
-    // run): the restorer must reject the chunk at ingest, never
-    // deferring to finish().
-    let victim = 1usize;
-    for byte in (0..chunks[victim].len()).step_by(7) {
-        let mut tampered = chunks.clone();
-        tampered[victim][byte] ^= 0x40;
-        let mut r = Restorer::new(Acc256::test_default(), signer.verifier());
-        r.ingest(&tampered[0]).unwrap();
-        assert!(
-            r.ingest(&tampered[victim]).is_err(),
-            "bit flip at byte {byte} must be rejected as it ingests"
-        );
+    // RSA chunks are mostly signature bytes, and a flipped one costs a
+    // failed sweep plus the per-signature search: sample them sparser.
+    for (signer, stride) in signers().into_iter().zip([7, 37]) {
+        let t = tree_with(60, 4, signer.as_ref());
+        let chunks = chunks_of(&t, 4);
+        // Flip a sample of bits across the whole second chunk (a leaf
+        // run): the restorer must reject the chunk at ingest, never
+        // deferring to finish() — and install none of it.
+        let victim = 1usize;
+        for (i, byte) in (0..chunks[victim].len()).step_by(stride).enumerate() {
+            let mut tampered = chunks.clone();
+            tampered[victim][byte] ^= 0x40;
+            let mut r = Restorer::new(Acc256::test_default(), signer.verifier());
+            r.ingest(&tampered[0]).unwrap();
+            assert!(
+                r.ingest(&tampered[victim]).is_err(),
+                "bit flip at byte {byte} must be rejected as it ingests"
+            );
+            assert_eq!(r.chunks_ingested(), 1);
+            // The rejected chunk left nothing behind: the honest one
+            // still goes in, and the stream completes (sampled — it
+            // re-verifies the whole stream).
+            if i % 32 == 0 {
+                for c in &chunks[victim..] {
+                    r.ingest(c).unwrap();
+                }
+                assert_eq!(r.finish().unwrap().len(), t.len());
+            }
+        }
     }
 }
 
 #[test]
 fn skeleton_tampering_is_caught_at_chunk_zero() {
     let (t, signer) = tree(60, 4);
+    let rsa_signer = rsa::fixture_keypair_crt_512();
+    let rsa_chunks = chunks_of(&tree_with(60, 4, &rsa_signer), 4);
     let chunks = chunks_of(&t, 4);
     // The signed preorder skeleton (digests + separators) starts after
     // the fixed header fields, the schema, and the per-chunk count:
@@ -107,13 +135,16 @@ fn skeleton_tampering_is_caught_at_chunk_zero() {
     // exponent-product checks); a separator nudged to a value that
     // still sorts dies at the leaf run whose pinned bounds it violates.
     // Either way the restore errors before a tree is released.
-    for byte in (preorder_start..chunks[0].len()).step_by(5) {
-        let mut tampered = chunks.clone();
-        tampered[0][byte] ^= 0x04;
-        assert!(
-            restore(&tampered, &signer).is_err(),
-            "skeleton bit flip at byte {byte} must abort the restore"
-        );
+    let streams: [(&[Vec<u8>], &dyn Signer); 2] = [(&chunks, &signer), (&rsa_chunks, &rsa_signer)];
+    for (chunks, signer) in streams {
+        for byte in (preorder_start..chunks[0].len()).step_by(5) {
+            let mut tampered = chunks.to_vec();
+            tampered[0][byte] ^= 0x04;
+            assert!(
+                restore(&tampered, signer).is_err(),
+                "skeleton bit flip at byte {byte} must abort the restore"
+            );
+        }
     }
 
     // A flipped tree-version byte in the header is metadata the

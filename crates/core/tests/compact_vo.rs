@@ -4,27 +4,69 @@
 //! the streaming verifier agrees with the materialised one while
 //! holding at most O(tree depth) digest frames.
 
+mod common;
+
+use common::PerSignature;
 use proptest::prelude::*;
+use std::sync::Arc;
 use vbx_core::{
     decode_compact_response, encode_compact_response, execute, execute_compact,
-    execute_multi_compact, measure_compact, measure_response, ClientVerifier, RangeQuery,
-    TamperMode, VbScheme, VbTree, VbTreeConfig, VerifyError,
+    execute_multi_compact, measure_compact, measure_response, ClientVerifier, QueryResponse,
+    RangeQuery, TamperMode, VbScheme, VbTree, VbTreeConfig, VerifyError, VoOp,
 };
-use vbx_crypto::signer::{MockSigner, Signer};
-use vbx_crypto::{rsa, Acc256};
+use vbx_crypto::accum::{signed_payload, DigestRole, SignedDigest};
+use vbx_crypto::signer::{MockSigner, SigVerifier, Signature, Signer};
+use vbx_crypto::{rsa, sha256, Acc256};
+use vbx_mathx::{modular, MontCtx, Uint};
 use vbx_storage::workload::WorkloadSpec;
-use vbx_storage::Tuple;
+use vbx_storage::{Tuple, Value};
 
-fn build_tree(rows: u64, fanout: usize) -> (VbTree<4>, MockSigner) {
+fn build_tree_with(rows: u64, fanout: usize, signer: &dyn Signer) -> VbTree<4> {
     let table = WorkloadSpec::new(rows, 3, 6).build();
-    let signer = MockSigner::new(42);
-    let tree = VbTree::bulk_load(
+    VbTree::bulk_load(
         &table,
         VbTreeConfig::with_fanout(fanout),
         Acc256::test_default(),
-        &signer,
-    );
-    (tree, signer)
+        signer,
+    )
+}
+
+fn build_tree(rows: u64, fanout: usize) -> (VbTree<4>, MockSigner) {
+    let signer = MockSigner::new(42);
+    (build_tree_with(rows, fanout, &signer), signer)
+}
+
+/// The reference flat verdict: every shipped digest's own signature is
+/// checked with `verify_digest`, then the response is verified with no
+/// sweep available. `Ok` carries the verified row count.
+fn per_signature_verdict(
+    client: &ClientVerifier<'_, 4>,
+    verifier: &Arc<dyn SigVerifier>,
+    q: &RangeQuery,
+    resp: &QueryResponse<4>,
+) -> Result<usize, VerifyError> {
+    let parts = [
+        ("D_P", resp.vo.d_p.as_slice()),
+        ("D_S", resp.vo.d_s.as_slice()),
+        ("top", std::slice::from_ref(&resp.vo.top)),
+    ];
+    let unsigned = parts.iter().find_map(|(part, digests)| {
+        let bad = |d| !client.acc.verify_digest(verifier.as_ref(), d);
+        digests.iter().any(bad).then_some(*part)
+    });
+    let verdict = client
+        .verify(&PerSignature(verifier.clone()), q, resp)
+        .map(|report| {
+            assert_eq!(report.signatures_checked, resp.vo.digest_count());
+            report.rows
+        });
+    if let Some(part) = unsigned {
+        assert!(
+            verdict.is_err(),
+            "an unsigned digest in {part} was accepted"
+        );
+    }
+    verdict
 }
 
 #[test]
@@ -65,10 +107,13 @@ fn aggregated_compact_checks_one_signature_and_shrinks_vo() {
     let report = client
         .verify_compact(verifier.as_ref(), std::slice::from_ref(&q), &compact)
         .unwrap();
-    // One condensed check replaces 1 + |D_S| + |D_P| individual ones.
+    // One condensed check replaces 1 + |D_S| + |D_P| individual ones —
+    // and the client screens the flat VO's shipped signatures the same
+    // way.
     assert_eq!(report.signatures_checked, 1);
+    assert!(legacy.vo.digest_count() > 1);
     let legacy_report = client.verify(verifier.as_ref(), &q, &legacy).unwrap();
-    assert!(legacy_report.signatures_checked > 1);
+    assert_eq!(legacy_report.signatures_checked, 1);
 
     let flat = measure_response(&legacy).vo_bytes;
     let compacted = measure_compact(&compact).vo_bytes;
@@ -219,18 +264,17 @@ fn bare_digest_without_aggregate_is_rejected() {
 
 /// One differential case: legacy, compact (materialised), and compact
 /// (streaming) must return rows byte-identically and agree on the
-/// verdict under the given tamper mode.
+/// verdict under the given tamper mode, and the screened flat verdict
+/// must equal the per-signature reference.
 fn differential_case(
-    rows: u64,
-    fanout: usize,
+    tree: &VbTree<4>,
+    verifier: Arc<dyn SigVerifier>,
     lo: u64,
     span: u64,
     projection: Option<Vec<usize>>,
     pred_modulus: Option<u64>,
     mode: TamperMode,
 ) {
-    let (tree, signer) = build_tree(rows, fanout);
-    let verifier = signer.verifier();
     let q = RangeQuery {
         lo,
         hi: lo.saturating_add(span),
@@ -241,12 +285,11 @@ fn differential_case(
     let pred_ref: Option<&dyn Fn(&Tuple) -> bool> =
         pred.as_ref().map(|p| p as &dyn Fn(&Tuple) -> bool);
 
-    let scheme = VbScheme::new(
-        tree.accumulator().clone(),
-        VbTreeConfig::with_fanout(fanout),
-    );
-    let mut legacy = execute(&tree, &q, pred_ref);
-    let mut compact = execute_multi_compact(&tree, &queries, pred_ref, Some(verifier.as_ref()));
+    // `tamper` re-executes against the tree it is handed; the scheme's
+    // own build configuration plays no part.
+    let scheme = VbScheme::new(tree.accumulator().clone(), VbTreeConfig::default());
+    let mut legacy = execute(tree, &q, pred_ref);
+    let mut compact = execute_multi_compact(tree, &queries, pred_ref, Some(verifier.as_ref()));
     assert_eq!(compact.parts[0].rows, legacy.rows, "result rows diverge");
     assert!(compact.digest_count() <= legacy.vo.digest_count());
     assert!(measure_compact(&compact).vo_bytes <= measure_response(&legacy).vo_bytes);
@@ -262,19 +305,18 @@ fn differential_case(
         m => m,
     };
     use vbx_core::AuthScheme;
-    scheme.tamper(&tree, &q, &mut legacy, &mode);
-    scheme.tamper_compact(
-        &tree,
-        &queries,
-        &mut compact,
-        &mode,
-        Some(verifier.as_ref()),
-    );
+    scheme.tamper(tree, &q, &mut legacy, &mode);
+    scheme.tamper_compact(tree, &queries, &mut compact, &mode, Some(verifier.as_ref()));
 
     let schema = tree.schema().clone();
     let acc = tree.accumulator().clone();
     let client = ClientVerifier::new(&acc, &schema);
     let legacy_verdict = client.verify(verifier.as_ref(), &q, &legacy);
+    assert_eq!(
+        legacy_verdict.clone().map(|report| report.rows),
+        per_signature_verdict(&client, &verifier, &q, &legacy),
+        "screened flat verdict diverges from per-signature under {mode:?}"
+    );
     let compact_verdict = client.verify_compact(verifier.as_ref(), &queries, &compact);
     assert_eq!(
         legacy_verdict.is_ok(),
@@ -328,6 +370,167 @@ proptest! {
             .filter_map(|(i, &k)| k.then_some(i))
             .collect();
         let projection = (cols.len() < 3).then_some(cols);
-        differential_case(rows, fanout, lo, span, projection, pred_modulus, mode);
+        let (tree, signer) = build_tree(rows, fanout);
+        differential_case(&tree, signer.verifier(), lo, span, projection, pred_modulus, mode);
     }
+}
+
+/// The same grid — every projection × residual × tamper mode — under a
+/// real RSA key, where the sweep is condensed-RSA screening.
+#[test]
+fn compact_and_legacy_are_equivalent_under_rsa() {
+    let signer = rsa::fixture_keypair_crt_512();
+    let trees = [
+        build_tree_with(40, 3, &signer),
+        build_tree_with(25, 6, &signer),
+    ];
+    let modes = [
+        TamperMode::None,
+        TamperMode::MutateValue,
+        TamperMode::InjectRow,
+        TamperMode::DropRow,
+        TamperMode::DropAndReclassify { key: 0 },
+    ];
+    let mut case = 0u64;
+    for keep in 0u8..8 {
+        let cols: Vec<usize> = (0..3).filter(|c| keep >> c & 1 == 1).collect();
+        let projection = (cols.len() < 3).then_some(cols);
+        for pred_modulus in [None, Some(2), Some(3)] {
+            for mode in &modes {
+                case += 1;
+                let (lo, span) = (case * 7 % 40, 1 + case * 5 % 30);
+                differential_case(
+                    &trees[case as usize % 2],
+                    signer.verifier(),
+                    lo,
+                    span,
+                    projection.clone(),
+                    pred_modulus,
+                    mode.clone(),
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The repeated-digest forgery (Coron–Naccache on BGR screening)
+// ---------------------------------------------------------------------
+
+const E: u64 = rsa::RSA_E;
+
+/// `x` with `x^e = k · k_new⁻¹` in `Z_q*` — public material only: the
+/// group order `q` is public and `gcd(e, q − 1) = 1` for the test group.
+fn compensating_root(acc: &Acc256, k: &Uint<4>, k_new: &Uint<4>) -> Uint<4> {
+    let q = acc.group().q;
+    let e_inv = modular::inv_mod(&Uint::from_u64(E), &q.wrapping_sub(&Uint::ONE))
+        .expect("gcd(e, q - 1) = 1");
+    modular::pow_mod(&acc.uncombine(k, k_new), &e_inv, &q)
+}
+
+/// `EM(msg)` for a 1024-bit key, from the documented encoding.
+fn em_1024(msg: &[u8]) -> Uint<16> {
+    let mut em = vec![0xFFu8; 127];
+    em[0] = 0x01;
+    em[127 - 33] = 0x00;
+    em[127 - 32..].copy_from_slice(&sha256(msg));
+    Uint::from_be_bytes(&em).expect("127 bytes fit")
+}
+
+/// Change the first returned value of `rows[0]` and return the
+/// exponent that, folded in `e` times, hides the change.
+fn mutate_and_compensate(tree: &VbTree<4>, row: &mut vbx_core::ResultRow) -> Uint<4> {
+    let acc = tree.accumulator();
+    let digest_of =
+        |v: &Value| acc.exp_from_bytes(&tree.schema().attribute_digest_input(0, row.key, v));
+    let forged = Value::from("forged");
+    let x = compensating_root(acc, &digest_of(&row.values[0]), &digest_of(&forged));
+    row.values[0] = forged;
+    x
+}
+
+/// An honest aggregated response, one returned value changed, `e`
+/// copies of an unsigned digest appended and `EM` of that digest
+/// multiplied into the aggregate: `EM^e` on both sides of the sweep.
+/// Accepted before the sweep counted its messages.
+#[test]
+fn e_copies_of_an_unsigned_digest_do_not_pass_the_sweep() {
+    let signer = rsa::fixture_keypair_crt_1024();
+    let tree = build_tree_with(48, 4, &signer);
+    let verifier = signer.verifier();
+    let q = RangeQuery::select_all(5, 20);
+    let queries = [q];
+    let honest = execute_multi_compact(&tree, &queries, None, Some(verifier.as_ref()));
+    let schema = tree.schema().clone();
+    let acc = tree.accumulator().clone();
+    let client = ClientVerifier::new(&acc, &schema);
+    assert_eq!(
+        client
+            .verify_compact(verifier.as_ref(), &queries, &honest)
+            .unwrap()
+            .rows,
+        16
+    );
+
+    let mut forged = honest.clone();
+    let x = mutate_and_compensate(&tree, &mut forged.parts[0].rows[0]);
+    let unsigned = SignedDigest {
+        exp: x,
+        role: DigestRole::Tuple,
+        sig: Signature(Vec::new()),
+    };
+    forged.parts[0]
+        .ops
+        .extend(std::iter::repeat_n(VoOp::Push(unsigned), E as usize));
+    let n = *signer.public_key().n();
+    let agg = Uint::<16>::from_be_bytes(honest.agg_sig.as_ref().unwrap().as_bytes()).unwrap();
+    let em = em_1024(&signed_payload(DigestRole::Tuple, &acc.exp_to_bytes(&x)));
+    forged.agg_sig = Some(Signature(MontCtx::new(n).mul_mod(&agg, &em).to_be_bytes()));
+
+    let too_many = VerifyError::MalformedVo {
+        reason: "too many digests for one signature sweep",
+    };
+    assert_eq!(
+        client.verify_compact(verifier.as_ref(), &queries, &forged),
+        Err(too_many.clone())
+    );
+    let bytes = encode_compact_response(&forged);
+    assert_eq!(
+        client.verify_compact_stream(verifier.as_ref(), &queries, &bytes, &mut |_, _| {}),
+        Err(too_many)
+    );
+}
+
+/// The flat analogue: `e` copies of the unsigned digest in `D_S`, whose
+/// shipped "signatures" multiply to `EM`. The screen never sweeps that
+/// many pairs at once; the batch fails and the per-signature fallback
+/// names the first unsigned digest.
+#[test]
+fn e_copies_of_an_unsigned_digest_do_not_pass_the_flat_screen() {
+    let signer = rsa::fixture_keypair_crt_1024();
+    let tree = build_tree_with(48, 4, &signer);
+    let verifier = signer.verifier();
+    let q = RangeQuery::select_all(5, 20);
+    let mut forged = execute(&tree, &q, None);
+    let schema = tree.schema().clone();
+    let acc = tree.accumulator().clone();
+    let client = ClientVerifier::new(&acc, &schema);
+    client.verify(verifier.as_ref(), &q, &forged).unwrap();
+
+    let x = mutate_and_compensate(&tree, &mut forged.rows[0]);
+    let em = em_1024(&signed_payload(DigestRole::Tuple, &acc.exp_to_bytes(&x)));
+    let unsigned = |sig: Uint<16>| SignedDigest {
+        exp: x,
+        role: DigestRole::Tuple,
+        sig: Signature(sig.to_be_bytes()),
+    };
+    forged.vo.d_s.push(unsigned(em));
+    forged
+        .vo
+        .d_s
+        .extend(std::iter::repeat_n(unsigned(Uint::ONE), E as usize - 1));
+    assert_eq!(
+        client.verify(verifier.as_ref(), &q, &forged),
+        Err(VerifyError::BadSignature { part: "D_S" })
+    );
 }

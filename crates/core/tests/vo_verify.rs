@@ -1,12 +1,16 @@
 //! End-to-end verification tests: selection, projection, predicate
 //! selection, and tamper detection (the attacks of Section 3.1).
 
+mod common;
+
+use common::PerSignature;
+use std::sync::Arc;
 use vbx_core::{
     decode_response, encode_response, execute, measure_response, ClientVerifier, RangeQuery,
     VbTree, VbTreeConfig, VerifyError,
 };
 use vbx_crypto::rsa;
-use vbx_crypto::signer::{MockSigner, Signer};
+use vbx_crypto::signer::{MockSigner, SigVerifier, Signer};
 use vbx_crypto::Acc256;
 use vbx_storage::workload::WorkloadSpec;
 use vbx_storage::{Table, Tuple, Value};
@@ -320,6 +324,108 @@ fn role_confusion_rejected() {
         .verify(f.signer.verifier().as_ref(), &q, &resp)
         .unwrap_err();
     assert_eq!(err, VerifyError::WrongRole { part: "D_S" });
+}
+
+// ---------------------------------------------------------------------
+// The signature screen
+// ---------------------------------------------------------------------
+
+/// A projected query over a small tree under each signer the screen is
+/// exercised with: the mock MAC chain and condensed RSA.
+fn screened_cases() -> Vec<(VbTree<4>, Table, Arc<dyn SigVerifier>)> {
+    let table = WorkloadSpec::new(30, 4, 8).build();
+    let signers: [Box<dyn Signer>; 2] = [
+        Box::new(MockSigner::new(7)),
+        Box::new(rsa::fixture_keypair_crt_512()),
+    ];
+    signers
+        .iter()
+        .map(|signer| {
+            let tree = VbTree::bulk_load(
+                &table,
+                VbTreeConfig::with_fanout(4),
+                Acc256::test_default(),
+                signer.as_ref(),
+            );
+            (tree, table.clone(), signer.verifier())
+        })
+        .collect()
+}
+
+#[test]
+fn corrupt_signature_is_localised_to_its_part() {
+    for (tree, table, verifier) in screened_cases() {
+        let q = RangeQuery::project(5, 20, vec![0, 2]);
+        let honest = execute(&tree, &q, None);
+        let client = ClientVerifier::new(tree.accumulator(), table.schema());
+        let report = client.verify(verifier.as_ref(), &q, &honest).unwrap();
+        assert_eq!(report.signatures_checked, 1, "one sweep, no fallback");
+
+        for part in ["D_P", "D_S", "top"] {
+            let mut resp = honest.clone();
+            let digest = match part {
+                "D_P" => resp.vo.d_p.last_mut().unwrap(),
+                "D_S" => resp.vo.d_s.last_mut().unwrap(),
+                _ => &mut resp.vo.top,
+            };
+            digest.sig.0[3] ^= 0x10;
+            assert_eq!(
+                client.verify(verifier.as_ref(), &q, &resp),
+                Err(VerifyError::BadSignature { part })
+            );
+        }
+    }
+}
+
+#[test]
+fn swapped_signatures_pass_condensed_rsa_by_design() {
+    // The screen proves that every shipped digest *message* is
+    // owner-signed — which is all Lemmas 1 and 2 need — not that each
+    // shipped signature sits next to its own message: the product of
+    // the signatures does not change when two of them trade places.
+    // The mock chain binds order, so there the sweep fails and the
+    // fallback rejects the first misplaced signature.
+    let mut verdicts = Vec::new();
+    for (tree, table, verifier) in screened_cases() {
+        let q = RangeQuery::select_all(5, 20);
+        let mut resp = execute(&tree, &q, None);
+        let (a, b) = (resp.vo.d_s[0].sig.clone(), resp.vo.d_s[1].sig.clone());
+        resp.vo.d_s[0].sig = b;
+        resp.vo.d_s[1].sig = a;
+        let acc = tree.accumulator();
+        assert!(!acc.verify_digest(verifier.as_ref(), &resp.vo.d_s[0]));
+        assert!(!acc.verify_digest(verifier.as_ref(), &resp.vo.d_s[1]));
+        let client = ClientVerifier::new(acc, table.schema());
+        verdicts.push(client.verify(verifier.as_ref(), &q, &resp).map(|r| r.rows));
+    }
+    assert_eq!(
+        verdicts,
+        [Err(VerifyError::BadSignature { part: "D_S" }), Ok(16)]
+    );
+}
+
+#[test]
+fn verifier_without_aggregation_checks_every_signature() {
+    for (tree, table, verifier) in screened_cases() {
+        let q = RangeQuery::project(5, 20, vec![1]);
+        let resp = execute(&tree, &q, None);
+        let client = ClientVerifier::new(tree.accumulator(), table.schema());
+        let report = client
+            .verify(&PerSignature(verifier.clone()), &q, &resp)
+            .unwrap();
+        assert_eq!(
+            report.signatures_checked,
+            1 + resp.vo.d_s.len() + resp.vo.d_p.len()
+        );
+        assert_eq!(report.rows, 16);
+
+        let mut bad = resp;
+        bad.vo.d_p[0].sig.0[0] ^= 1;
+        assert_eq!(
+            client.verify(&PerSignature(verifier), &q, &bad),
+            Err(VerifyError::BadSignature { part: "D_P" })
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -13,22 +13,39 @@ use vbx_core::{
     VbScheme, VbTree, VbTreeConfig, VerifyError, VoOp, MAX_VO_STACK,
 };
 use vbx_crypto::signer::{MockSigner, Signer};
-use vbx_crypto::Acc256;
+use vbx_crypto::{rsa, Acc256};
 use vbx_storage::workload::WorkloadSpec;
 use vbx_storage::Table;
 
 struct Fixture {
     tree: VbTree<4>,
-    signer: MockSigner,
+    signer: Box<dyn Signer>,
     table: Table,
     acc: Acc256,
 }
 
 fn fixture(rows: u64) -> Fixture {
+    fixture_with(rows, Box::new(MockSigner::new(11)))
+}
+
+/// The same table under the mock signer and under RSA, each with the
+/// byte stride its bit-flip sweeps sample at: an RSA buffer is mostly
+/// signature bytes, and every flipped one costs a failed sweep plus the
+/// per-signature search.
+fn signed_fixtures(rows: u64) -> [(Fixture, usize); 2] {
+    let rsa = fixture_with(rows, Box::new(rsa::fixture_keypair_crt_512()));
+    [(fixture(rows), 1), (rsa, 5)]
+}
+
+fn fixture_with(rows: u64, signer: Box<dyn Signer>) -> Fixture {
     let table = WorkloadSpec::new(rows, 3, 8).build();
-    let signer = MockSigner::new(11);
     let acc = Acc256::test_default();
-    let tree = VbTree::bulk_load(&table, VbTreeConfig::with_fanout(4), acc.clone(), &signer);
+    let tree = VbTree::bulk_load(
+        &table,
+        VbTreeConfig::with_fanout(4),
+        acc.clone(),
+        signer.as_ref(),
+    );
     Fixture {
         tree,
         signer,
@@ -43,7 +60,7 @@ fn stamped_bytes(f: &Fixture, q: &RangeQuery) -> (vbx_core::QueryResponse<4>, Ve
     let mut resp = execute(&f.tree, q, None);
     resp.freshness = ResponseFreshness {
         applied_seq: 3,
-        stamp: Some(FreshnessStamp::sign(&f.signer, 3, 7)),
+        stamp: Some(FreshnessStamp::sign(&*f.signer, 3, 7)),
     };
     let bytes = encode_response(&resp);
     (resp, bytes)
@@ -94,19 +111,20 @@ fn oversized_length_prefixes_error_without_blowup() {
 
 #[test]
 fn single_bit_flips_never_panic_decode_or_verify() {
-    let f = fixture(20);
-    let q = RangeQuery::select_all(2, 13);
-    let (_, bytes) = stamped_bytes(&f, &q);
-    let client = ClientVerifier::new(&f.acc, f.table.schema());
-    for i in 0..bytes.len() {
-        for bit in [0x01u8, 0x80] {
-            let mut flipped = bytes.clone();
-            flipped[i] ^= bit;
-            // Either the decoder rejects the buffer, or the decoded
-            // response goes through full verification — neither path
-            // may panic.
-            if let Ok(resp) = decode_response(&flipped, &f.acc) {
-                let _ = client.verify(f.signer.verifier().as_ref(), &q, &resp);
+    for (f, stride) in signed_fixtures(20) {
+        let q = RangeQuery::select_all(2, 13);
+        let (_, bytes) = stamped_bytes(&f, &q);
+        let client = ClientVerifier::new(&f.acc, f.table.schema());
+        for i in (0..bytes.len()).step_by(stride) {
+            for bit in [0x01u8, 0x80] {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= bit;
+                // Either the decoder rejects the buffer, or the decoded
+                // response goes through full verification — neither path
+                // may panic.
+                if let Ok(resp) = decode_response(&flipped, &f.acc) {
+                    let _ = client.verify(f.signer.verifier().as_ref(), &q, &resp);
+                }
             }
         }
     }
@@ -210,14 +228,14 @@ fn batch_fixture() -> (
         UpdateOp::DeleteRange(10, 14),
         UpdateOp::Insert(tuple(501)),
     ];
-    let payloads = scheme.update_batch(&mut master, &ops, &f.signer).unwrap();
+    let payloads = scheme.update_batch(&mut master, &ops, &*f.signer).unwrap();
     let batch = DeltaBatch {
         start_seq: 5,
         table: "t".to_string(),
         ops,
         payloads,
         key_version: f.signer.key_version(),
-        stamp: Some(FreshnessStamp::sign(&f.signer, 9, 4)),
+        stamp: Some(FreshnessStamp::sign(&*f.signer, 9, 4)),
     };
     let bytes = encode_delta_batch(&batch);
     (f, replica, batch, bytes)
@@ -238,7 +256,7 @@ fn batch_roundtrips_and_replays() {
     // The decoded batch replays to the master's exact state.
     let mut master = replica.clone();
     scheme
-        .update_batch(&mut master, &batch.ops, &f.signer)
+        .update_batch(&mut master, &batch.ops, &*f.signer)
         .unwrap();
     let mut applied = replica.clone();
     scheme
@@ -373,7 +391,7 @@ fn compact_fixture(f: &Fixture, q: &RangeQuery) -> (CompactResponse<4>, Vec<u8>)
     let mut resp = execute_compact(&f.tree, q, None, Some(f.signer.verifier().as_ref()));
     resp.freshness = ResponseFreshness {
         applied_seq: 3,
-        stamp: Some(FreshnessStamp::sign(&f.signer, 3, 7)),
+        stamp: Some(FreshnessStamp::sign(&*f.signer, 3, 7)),
     };
     let bytes = encode_compact_response(&resp);
     (resp, bytes)
@@ -494,28 +512,29 @@ fn compact_stack_abuse_errors_as_malformed() {
 
 #[test]
 fn compact_aggregate_sig_flips_are_bad_signatures() {
-    let f = fixture(30);
-    let q = RangeQuery::select_all(2, 21);
-    let (resp, bytes) = compact_fixture(&f, &q);
-    let agg_len = resp.agg_sig.as_ref().unwrap().len();
-    let client = ClientVerifier::new(&f.acc, f.table.schema());
-    // The aggregate signature sits right after magic + key_version +
-    // empty dict + flag + sig_len.
-    let agg_at = 4 + 4 + 4 + 1 + 2;
-    for off in [0, agg_len / 2, agg_len - 1] {
-        let mut flipped = bytes.clone();
-        flipped[agg_at + off] ^= 0x40;
-        let decoded = decode_compact_response(&flipped, &f.acc).unwrap();
-        assert_eq!(
-            client
-                .verify_compact(
-                    f.signer.verifier().as_ref(),
-                    std::slice::from_ref(&q),
-                    &decoded
-                )
-                .unwrap_err(),
-            VerifyError::BadSignature { part: "aggregate" }
-        );
+    for (f, _) in signed_fixtures(30) {
+        let q = RangeQuery::select_all(2, 21);
+        let (resp, bytes) = compact_fixture(&f, &q);
+        let agg_len = resp.agg_sig.as_ref().unwrap().len();
+        let client = ClientVerifier::new(&f.acc, f.table.schema());
+        // The aggregate signature sits right after magic + key_version +
+        // empty dict + flag + sig_len.
+        let agg_at = 4 + 4 + 4 + 1 + 2;
+        for off in [0, agg_len / 2, agg_len - 1] {
+            let mut flipped = bytes.clone();
+            flipped[agg_at + off] ^= 0x40;
+            let decoded = decode_compact_response(&flipped, &f.acc).unwrap();
+            assert_eq!(
+                client
+                    .verify_compact(
+                        f.signer.verifier().as_ref(),
+                        std::slice::from_ref(&q),
+                        &decoded
+                    )
+                    .unwrap_err(),
+                VerifyError::BadSignature { part: "aggregate" }
+            );
+        }
     }
 }
 
@@ -546,7 +565,7 @@ fn wal_records() -> (Fixture, WalPayloads) {
     };
 
     let op = UpdateOp::Insert(tuple(700));
-    let payload = scheme.update(&mut tree, &op, &f.signer).unwrap();
+    let payload = scheme.update(&mut tree, &op, &*f.signer).unwrap();
     let delta = SignedDelta {
         seq: 4,
         table: "t".to_string(),
@@ -554,22 +573,22 @@ fn wal_records() -> (Fixture, WalPayloads) {
         payload,
         key_version: f.signer.key_version(),
     };
-    let stamp = FreshnessStamp::sign(&f.signer, 5, 11);
+    let stamp = FreshnessStamp::sign(&*f.signer, 5, 11);
     let commit_op = encode_wal_commit_op(&scheme, 11, Some(&stamp), &delta);
 
     let ops = vec![UpdateOp::Insert(tuple(701)), UpdateOp::Delete(3)];
-    let payloads = scheme.update_batch(&mut tree, &ops, &f.signer).unwrap();
+    let payloads = scheme.update_batch(&mut tree, &ops, &*f.signer).unwrap();
     let batch = DeltaBatch {
         start_seq: 5,
         table: "t".to_string(),
         ops,
         payloads,
         key_version: f.signer.key_version(),
-        stamp: Some(FreshnessStamp::sign(&f.signer, 7, 12)),
+        stamp: Some(FreshnessStamp::sign(&*f.signer, 7, 12)),
     };
     let commit_batch = encode_wal_commit_batch(&scheme, 12, &batch);
 
-    let heartbeat = encode_wal_heartbeat(13, &FreshnessStamp::sign(&f.signer, 7, 13));
+    let heartbeat = encode_wal_heartbeat(13, &FreshnessStamp::sign(&*f.signer, 7, 13));
 
     (f, vec![commit_op, commit_batch, heartbeat])
 }
@@ -694,31 +713,32 @@ fn wal_framing_survives_truncation_length_lies_and_checksum_flips() {
 
 #[test]
 fn compact_bit_flips_never_panic_decode_or_verify() {
-    let f = fixture(20);
-    let q = RangeQuery::select_all(2, 13);
-    let (_, bytes) = compact_fixture(&f, &q);
-    let client = ClientVerifier::new(&f.acc, f.table.schema());
-    for i in 0..bytes.len() {
-        for bit in [0x01u8, 0x80] {
-            let mut flipped = bytes.clone();
-            flipped[i] ^= bit;
-            // Decode rejection, verification rejection, or (for bytes
-            // outside the authenticated content, e.g. the advisory
-            // applied_seq) acceptance — but never a panic, on either
-            // the materialized or the streaming path.
-            if let Ok(resp) = decode_compact_response(&flipped, &f.acc) {
-                let _ = client.verify_compact(
+    for (f, stride) in signed_fixtures(20) {
+        let q = RangeQuery::select_all(2, 13);
+        let (_, bytes) = compact_fixture(&f, &q);
+        let client = ClientVerifier::new(&f.acc, f.table.schema());
+        for i in (0..bytes.len()).step_by(stride) {
+            for bit in [0x01u8, 0x80] {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= bit;
+                // Decode rejection, verification rejection, or (for bytes
+                // outside the authenticated content, e.g. the advisory
+                // applied_seq) acceptance — but never a panic, on either
+                // the materialized or the streaming path.
+                if let Ok(resp) = decode_compact_response(&flipped, &f.acc) {
+                    let _ = client.verify_compact(
+                        f.signer.verifier().as_ref(),
+                        std::slice::from_ref(&q),
+                        &resp,
+                    );
+                }
+                let _ = client.verify_compact_stream(
                     f.signer.verifier().as_ref(),
                     std::slice::from_ref(&q),
-                    &resp,
+                    &flipped,
+                    &mut |_, _| {},
                 );
             }
-            let _ = client.verify_compact_stream(
-                f.signer.verifier().as_ref(),
-                std::slice::from_ref(&q),
-                &flipped,
-                &mut |_, _| {},
-            );
         }
     }
 }
@@ -735,7 +755,7 @@ use vbx_core::{ErrorCode, Frame, FrameBuffer, FrameKind, NetMsg, MAX_FRAME_LEN};
 /// verbatim envelopes).
 fn frame_zoo() -> Vec<(NetMsg, Vec<u8>)> {
     let f = fixture(12);
-    let stamp = FreshnessStamp::sign(&f.signer, 3, 7);
+    let stamp = FreshnessStamp::sign(&*f.signer, 3, 7);
     let msgs = vec![
         NetMsg::Ping,
         NetMsg::Pong { applied_seq: 42 },

@@ -22,7 +22,7 @@
 //! see [`Accumulator::uncombine`].
 
 use crate::hash::{sha256, HashAlgo};
-use crate::signer::{SigVerifier, Signature, Signer};
+use crate::signer::{SigScreen, SigVerifier, Signature, Signer};
 use std::cell::RefCell;
 use vbx_mathx::groups::SafePrimeGroup;
 use vbx_mathx::{modular, FixedBaseTable, MontCtx, Uint};
@@ -247,6 +247,27 @@ impl<const L: usize> Accumulator<L> {
         let msg = signed_payload(d.role, &self.exp_to_bytes(&d.exp));
         verifier.verify(&msg, &d.sig)
     }
+
+    /// Queue a signed digest on a signature screen — what the verifiers
+    /// call instead of [`verify_digest`](Self::verify_digest): once the
+    /// screen finishes, the digest's message is known to be signed.
+    /// `Err(tag)` reports an out-of-range exponent here or a bad pair in
+    /// a batch this push flushed.
+    pub fn screen_digest<T>(
+        &self,
+        screen: &mut SigScreen<'_, T>,
+        tag: T,
+        d: &SignedDigest<L>,
+    ) -> Result<(), T> {
+        if d.exp.is_zero() || d.exp >= self.group.q {
+            return Err(tag);
+        }
+        screen.push_with(tag, &d.sig, |msg| {
+            msg.extend_from_slice(PAYLOAD_DOMAIN);
+            msg.push(d.role.tag());
+            d.exp.extend_be_bytes(msg);
+        })
+    }
 }
 
 /// Domain tag distinguishing what a signed digest authenticates.
@@ -294,13 +315,15 @@ impl DigestRole {
     }
 }
 
+const PAYLOAD_DOMAIN: &[u8; 8] = b"vbx-dgst";
+
 /// The exact message a [`SignedDigest`]'s signature covers:
 /// `"vbx-dgst" ‖ role ‖ exp`. Public so aggregate verification
 /// ([`crate::signer::AggregateVerify`]) can absorb the same bytes the
 /// central server signed.
 pub fn signed_payload(role: DigestRole, exp_bytes: &[u8]) -> Vec<u8> {
     let mut msg = Vec::with_capacity(exp_bytes.len() + 9);
-    msg.extend_from_slice(b"vbx-dgst");
+    msg.extend_from_slice(PAYLOAD_DOMAIN);
     msg.push(role.tag());
     msg.extend_from_slice(exp_bytes);
     msg

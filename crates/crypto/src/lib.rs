@@ -34,4 +34,6 @@ pub use accum::{Acc256, Acc512, Accumulator, SignedDigest};
 pub use hash::{md5, sha1, sha256, HashAlgo, Md5, Sha1, Sha256};
 pub use keyreg::{KeyRegistry, KeyVersion, ValidityWindow};
 pub use rsa::{RsaKeyPair, RsaPublicKey};
-pub use signer::{AggregateVerify, MockSigner, MockVerifier, SigVerifier, Signature, Signer};
+pub use signer::{
+    AggregateVerify, MockSigner, MockVerifier, SigScreen, SigVerifier, Signature, Signer,
+};

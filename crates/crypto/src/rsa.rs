@@ -26,10 +26,10 @@
 //! the deterministic `(n, d)` fixtures stay byte-compatible.
 
 use crate::hash::sha256;
-use crate::signer::{AggregateVerify, SigVerifier, Signature, Signer};
+use crate::signer::{AggregateVerify, SigVerifier, Signature, Signer, SWEEP_BOUND};
 use rand::Rng;
 use std::sync::Arc;
-use vbx_mathx::{modular, prime, MontCtx, Uint};
+use vbx_mathx::{modular, prime, MontCtx, MontProduct, Uint};
 
 /// Object-safe CRT signing engine. The half-width arithmetic runs at a
 /// *different* const width than the key (`H = L/2`), which Rust's const
@@ -169,12 +169,21 @@ impl<const L: usize> RsaPublicKey<L> {
         let digest = sha256(msg);
         let hash_len = digest.len().min(em_len - 2);
         assert!(hash_len >= 16, "modulus too small for padding");
-        let mut em = vec![0xFFu8; em_len];
-        em[0] = 0x01;
-        let ps_end = em_len - hash_len;
-        em[ps_end - 1] = 0x00;
-        em[ps_end..].copy_from_slice(&digest[..hash_len]);
-        Uint::from_be_bytes(&em).expect("EM fits the modulus width")
+        // Written straight into the limbs (this runs once per absorbed
+        // message of every sweep): start from all-0xFF padding and set
+        // the other bytes, addressed from the least significant end.
+        let mut limbs = [u64::MAX; L];
+        let mut put = |pos: usize, b: u8| {
+            let shift = 8 * (pos % 8);
+            limbs[pos / 8] = limbs[pos / 8] & !(0xFF << shift) | (b as u64) << shift;
+        };
+        for (pos, &b) in digest[..hash_len].iter().rev().enumerate() {
+            put(pos, b);
+        }
+        put(hash_len, 0x00);
+        put(em_len - 1, 0x01);
+        put(em_len, 0x00);
+        Uint::from_limbs(limbs)
     }
 }
 
@@ -301,16 +310,22 @@ impl<const L: usize> Signer for RsaKeyPair<L> {
 struct RsaAggregate<const L: usize> {
     key: RsaPublicKey<L>,
     /// `∏ encode(msg_i) mod n` over the absorbed messages.
-    prod: Uint<L>,
+    prod: MontProduct<L>,
 }
 
 impl<const L: usize> AggregateVerify for RsaAggregate<L> {
     fn absorb(&mut self, msg: &[u8]) {
         let em = self.key.encode(msg);
-        self.prod = self.key.mont.mul_mod(&self.prod, &em);
+        self.prod.mul(&self.key.mont, &em);
     }
 
     fn finish(self: Box<Self>, agg: &Signature) -> bool {
+        // Coron–Naccache on Bellare–Garay–Rabin screening; see
+        // `SWEEP_BOUND`. Every multiplicity below is in `[1, e)` and so
+        // coprime to the prime `e`.
+        if self.prod.factors() >= SWEEP_BOUND {
+            return false;
+        }
         let Some(s) = Uint::<L>::from_be_bytes(agg.as_bytes()) else {
             return false;
         };
@@ -319,7 +334,7 @@ impl<const L: usize> AggregateVerify for RsaAggregate<L> {
         }
         // (∏ s_i)^e = ∏ s_i^e = ∏ EM_i (mod n): one modular
         // exponentiation verifies the whole batch.
-        self.key.mont.pow_mod(&s, &self.key.e) == self.prod
+        self.key.mont.pow_mod(&s, &self.key.e) == self.prod.value(&self.key.mont)
     }
 }
 
@@ -348,21 +363,24 @@ impl<const L: usize> SigVerifier for RsaPublicKey<L> {
     /// material alone, so an edge can condense the stored signatures it
     /// relays without holding any signing key.
     fn aggregate_signatures(&self, sigs: &[Signature]) -> Option<Signature> {
-        let mut prod = Uint::<L>::ONE;
+        if sigs.len() as u64 >= SWEEP_BOUND {
+            return None;
+        }
+        let mut prod = MontProduct::new();
         for sig in sigs {
             let s = Uint::<L>::from_be_bytes(sig.as_bytes())?;
             if s >= self.n || s.is_zero() {
                 return None;
             }
-            prod = self.mont.mul_mod(&prod, &s);
+            prod.mul(&self.mont, &s);
         }
-        Some(Signature(prod.to_be_bytes()))
+        Some(Signature(prod.value(&self.mont).to_be_bytes()))
     }
 
     fn begin_aggregate(&self) -> Option<Box<dyn AggregateVerify>> {
         Some(Box::new(RsaAggregate {
             key: self.clone(),
-            prod: Uint::ONE,
+            prod: MontProduct::new(),
         }))
     }
 }
@@ -574,6 +592,101 @@ mod tests {
             st.absorb(m);
         }
         assert!(!st.finish(&other));
+    }
+
+    /// The byte-wise construction of `EM` the limb-wise `encode` must
+    /// reproduce.
+    fn encode_bytewise<const L: usize>(msg: &[u8]) -> Uint<L> {
+        let em_len = L * 8 - 1;
+        let digest = sha256(msg);
+        let hash_len = digest.len().min(em_len - 2);
+        let mut em = vec![0xFFu8; em_len];
+        em[0] = 0x01;
+        em[em_len - hash_len - 1] = 0x00;
+        em[em_len - hash_len..].copy_from_slice(&digest[..hash_len]);
+        Uint::from_be_bytes(&em).unwrap()
+    }
+
+    #[test]
+    fn encode_matches_bytewise_padding() {
+        let mut rng = rand::thread_rng();
+        let small: RsaKeyPair<4> = RsaKeyPair::generate(&mut rng, 1);
+        for msg in [b"".as_slice(), b"m", &[0xA5; 200]] {
+            // 256-bit modulus: the hash is truncated to 29 bytes.
+            assert_eq!(small.public.encode(msg), encode_bytewise::<4>(msg));
+            assert_eq!(
+                fixture_keypair_crt_512().public.encode(msg),
+                encode_bytewise::<8>(msg)
+            );
+            assert_eq!(
+                fixture_keypair_crt_1024().public.encode(msg),
+                encode_bytewise::<16>(msg)
+            );
+        }
+    }
+
+    /// The running products stay in Montgomery form; they must equal
+    /// the plain `mul_mod` chain they replaced, factor for factor.
+    #[test]
+    fn montgomery_form_products_match_mul_mod_chain() {
+        let key = fixture_keypair_crt_512().public_key();
+        let mut rng = rand::thread_rng();
+        for count in [0usize, 1, 2, 113, 4096] {
+            let factors: Vec<Uint<8>> = (0..count)
+                .map(|_| loop {
+                    let x = Uint::random_below(&mut rng, &key.n);
+                    if !x.is_zero() {
+                        break x;
+                    }
+                })
+                .collect();
+            let chain = factors
+                .iter()
+                .fold(Uint::ONE, |acc, x| key.mont.mul_mod(&acc, x));
+            let sigs: Vec<Signature> = factors.iter().map(|x| Signature(x.to_be_bytes())).collect();
+            let agg = key.aggregate_signatures(&sigs).expect("in range");
+            assert_eq!(agg.as_bytes(), chain.to_be_bytes(), "{count} signatures");
+
+            let msgs: Vec<[u8; 8]> = (0..count as u64).map(u64::to_le_bytes).collect();
+            let mut sweep = RsaAggregate {
+                key: key.clone(),
+                prod: MontProduct::new(),
+            };
+            msgs.iter().for_each(|m| sweep.absorb(m));
+            let chain = msgs
+                .iter()
+                .fold(Uint::ONE, |acc, m| key.mont.mul_mod(&acc, &key.encode(m)));
+            assert_eq!(sweep.prod.value(&key.mont), chain, "{count} messages");
+        }
+    }
+
+    /// Coron–Naccache: `EM(m)^e` is an `e`-th power of public material,
+    /// so `e` absorbs of an *unsigned* `m` would pass against the
+    /// "aggregate" `EM(m)`. The sweep refuses `e` or more absorbs; one
+    /// fewer, of signed messages, still verifies.
+    #[test]
+    fn sweep_of_e_messages_is_refused() {
+        let kp = fixture_keypair_crt_512();
+        let v = kp.verifier();
+        let unsigned = b"never signed by the owner";
+        let forged = Signature(kp.public.encode(unsigned).to_be_bytes());
+        let mut st = v.begin_aggregate().unwrap();
+        for _ in 0..RSA_E {
+            st.absorb(unsigned);
+        }
+        assert!(!st.finish(&forged));
+        assert!(v
+            .aggregate_signatures(&vec![forged; RSA_E as usize])
+            .is_none());
+
+        let sig = kp.sign(b"signed");
+        let sigs = vec![sig; RSA_E as usize - 1];
+        let agg = v.aggregate_signatures(&sigs).expect("below the bound");
+        let mut st = v.begin_aggregate().unwrap();
+        for _ in 0..RSA_E - 1 {
+            st.absorb(b"signed");
+        }
+        assert!(st.finish(&agg));
     }
 
     #[test]

@@ -82,9 +82,10 @@ pub trait SigVerifier: Send + Sync {
     fn key_version(&self) -> u32;
 
     /// Condense individual signatures into one aggregate signature
-    /// (server side — needs only public material). Returns `None` when
-    /// the scheme does not support aggregation, or when any input
-    /// signature is malformed for the scheme.
+    /// (needs only public material). Returns `None` when the scheme does
+    /// not support aggregation, when any input signature is malformed
+    /// for the scheme, or when the batch is larger than one sweep can
+    /// soundly cover.
     ///
     /// The aggregate is order-sensitive: the verifier must absorb the
     /// signed messages in exactly this order.
@@ -97,6 +98,134 @@ pub trait SigVerifier: Send + Sync {
     /// Returns `None` when the scheme does not support aggregation.
     fn begin_aggregate(&self) -> Option<Box<dyn AggregateVerify>> {
         None
+    }
+}
+
+/// One aggregate sweep covers fewer than this many messages: the RSA
+/// public exponent `e`. Screening proves nothing about a message
+/// absorbed a multiple of `e` times (`EM^e` is an `e`-th power of public
+/// material), and with fewer than `e` absorbs in all no multiplicity can
+/// reach one. Aggregators refuse to condense a batch this large and
+/// ship its signatures individually instead; the mock scheme mirrors
+/// the bound so both signers behave alike at every size.
+pub const SWEEP_BOUND: u64 = crate::rsa::RSA_E;
+
+/// Pairs one [`SigScreen`] sweeps at most before it flushes itself —
+/// far below [`SWEEP_BOUND`] whatever the caller pushes.
+const SCREEN_FLUSH: usize = 4096;
+
+/// Batch screening of `(message, signature)` pairs — the one way the
+/// verifiers authenticate signed digests.
+///
+/// [`push`](Self::push) collects pairs; [`finish`](Self::finish) folds
+/// the signatures with [`SigVerifier::aggregate_signatures`], absorbs
+/// the messages in the same order and closes the sweep with one check
+/// (`∏σ_i^e ≡ ∏EM(m_i) (mod n)` for RSA, Bellare–Garay–Rabin
+/// screening). When the verifier cannot aggregate, or the sweep fails,
+/// the pairs are verified one by one, so the verdict is "accept iff the
+/// sweep passes or every signature verifies" and a failure is localised
+/// to the first bad pair, whose caller-chosen tag `T` is returned.
+///
+/// A passing sweep proves that every pushed *message* was signed by the
+/// key holder — not that each pushed signature is individually valid
+/// (two signatures may be swapped: the product does not change).
+pub struct SigScreen<'v, T> {
+    verifier: &'v dyn SigVerifier,
+    tags: Vec<T>,
+    /// The pending messages back to back; `ends[i]` closes message `i`.
+    msgs: Vec<u8>,
+    ends: Vec<usize>,
+    sigs: Vec<Signature>,
+    checks: usize,
+}
+
+impl<'v, T> SigScreen<'v, T> {
+    /// An empty screen under `verifier`.
+    pub fn new(verifier: &'v dyn SigVerifier) -> Self {
+        Self {
+            verifier,
+            tags: Vec::new(),
+            msgs: Vec::new(),
+            ends: Vec::new(),
+            sigs: Vec::new(),
+            checks: 0,
+        }
+    }
+
+    /// Add a pair whose message `write` appends to the buffer it is
+    /// handed (so callers need not build each message in a `Vec` of its
+    /// own). `Err` carries the tag of the first bad pair of a batch this
+    /// push filled and flushed.
+    pub fn push_with(
+        &mut self,
+        tag: T,
+        sig: &Signature,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), T> {
+        write(&mut self.msgs);
+        self.ends.push(self.msgs.len());
+        self.tags.push(tag);
+        self.sigs.push(sig.clone());
+        if self.sigs.len() >= SCREEN_FLUSH {
+            self.flush()
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Add the pair `(msg, sig)`; see [`push_with`](Self::push_with).
+    pub fn push(&mut self, tag: T, msg: &[u8], sig: &Signature) -> Result<(), T> {
+        self.push_with(tag, sig, |buf| buf.extend_from_slice(msg))
+    }
+
+    /// Authenticate every pending pair. Returns the number of signature
+    /// checks performed over the screen's lifetime (1 per sweep, 1 per
+    /// individually verified pair), or the tag of the first bad pair.
+    pub fn finish(mut self) -> Result<usize, T> {
+        self.flush()?;
+        Ok(self.checks)
+    }
+
+    fn flush(&mut self) -> Result<(), T> {
+        let Self {
+            verifier,
+            tags,
+            msgs,
+            ends,
+            sigs,
+            checks,
+        } = self;
+        if sigs.is_empty() {
+            return Ok(());
+        }
+        let starts = std::iter::once(0).chain(ends.iter().copied());
+        let mut pairs = starts
+            .zip(ends.iter())
+            .map(|(a, &b)| &msgs[a..b])
+            .zip(&*sigs);
+        let swept = match (
+            verifier.begin_aggregate(),
+            verifier.aggregate_signatures(sigs),
+        ) {
+            (Some(mut sweep), Some(agg)) => {
+                pairs.clone().for_each(|(msg, _)| sweep.absorb(msg));
+                *checks += 1;
+                sweep.finish(&agg)
+            }
+            _ => false,
+        };
+        if !swept {
+            // Localise: the first pair that does not verify on its own.
+            *checks += sigs.len();
+            if let Some(i) = pairs.position(|(msg, sig)| !verifier.verify(msg, sig)) {
+                return Err(tags.swap_remove(i));
+            }
+        }
+        tags.clear();
+        msgs.clear();
+        ends.clear();
+        sigs.clear();
+        Ok(())
     }
 }
 
@@ -212,6 +341,9 @@ impl SigVerifier for MockVerifier {
     }
 
     fn aggregate_signatures(&self, sigs: &[Signature]) -> Option<Signature> {
+        if sigs.len() as u64 >= SWEEP_BOUND {
+            return None;
+        }
         let mut chain = mock_chain_init();
         for sig in sigs {
             if sig.len() != 32 {
@@ -316,6 +448,73 @@ mod tests {
             st.absorb(m);
         }
         assert!(!st.finish(&bad));
+    }
+
+    /// A verifier that cannot aggregate: the screen must verify pair by
+    /// pair.
+    struct NoAggregate(Arc<dyn SigVerifier>);
+
+    impl SigVerifier for NoAggregate {
+        fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
+            self.0.verify(msg, sig)
+        }
+        fn signature_len(&self) -> usize {
+            self.0.signature_len()
+        }
+        fn key_version(&self) -> u32 {
+            self.0.key_version()
+        }
+    }
+
+    #[test]
+    fn screen_sweeps_once_and_localises_failures() {
+        let s = MockSigner::new(5);
+        let v = s.verifier();
+        let msgs: Vec<Vec<u8>> = (0..10u8).map(|i| vec![b'm', i]).collect();
+        let sigs: Vec<Signature> = msgs.iter().map(|m| s.sign(m)).collect();
+
+        let mut screen = SigScreen::new(v.as_ref());
+        for (i, (m, sig)) in msgs.iter().zip(&sigs).enumerate() {
+            screen.push(i, m, sig).unwrap();
+        }
+        assert_eq!(screen.finish(), Ok(1), "one sweep");
+        assert_eq!(SigScreen::<()>::new(v.as_ref()).finish(), Ok(0));
+
+        // A bad pair fails the sweep; the fallback names it.
+        let mut screen = SigScreen::new(v.as_ref());
+        for (i, (m, sig)) in msgs.iter().zip(&sigs).enumerate() {
+            let sig = if i == 6 { &sigs[0] } else { sig };
+            screen.push(i, m, sig).unwrap();
+        }
+        assert_eq!(screen.finish(), Err(6));
+
+        // No aggregation: one check per pair, same verdicts.
+        let plain = NoAggregate(v.clone());
+        let mut screen = SigScreen::new(&plain);
+        for (i, (m, sig)) in msgs.iter().zip(&sigs).enumerate() {
+            screen.push(i, m, sig).unwrap();
+        }
+        assert_eq!(screen.finish(), Ok(10));
+    }
+
+    #[test]
+    fn screen_flushes_itself_and_reports_a_flushed_failure() {
+        let s = MockSigner::new(5);
+        let v = s.verifier();
+        let sig = s.sign(b"m");
+        let mut screen = SigScreen::new(v.as_ref());
+        for i in 0..2 * SCREEN_FLUSH + 3 {
+            screen.push(i, b"m", &sig).unwrap();
+            assert!(screen.sigs.len() < SCREEN_FLUSH);
+        }
+        assert_eq!(screen.finish(), Ok(3), "two flushes and the tail");
+
+        let mut screen = SigScreen::new(v.as_ref());
+        let verdicts: Vec<Result<(), usize>> = (0..SCREEN_FLUSH)
+            .map(|i| screen.push(i, if i == 17 { b"x" } else { b"m" }, &sig))
+            .collect();
+        assert_eq!(verdicts[SCREEN_FLUSH - 1], Err(17));
+        assert!(verdicts[..SCREEN_FLUSH - 1].iter().all(Result::is_ok));
     }
 
     #[test]

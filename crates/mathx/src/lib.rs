@@ -32,5 +32,5 @@ pub mod modular;
 pub mod prime;
 
 pub use fixed_base::FixedBaseTable;
-pub use mont::MontCtx;
+pub use mont::{MontCtx, MontProduct};
 pub use uint::{Uint, U1024, U128, U2048, U256, U3072, U4096, U512};

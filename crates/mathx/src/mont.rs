@@ -271,10 +271,76 @@ impl<const L: usize> MontCtx<L> {
     }
 }
 
+/// A running product `∏ x_i mod n` of plain (non-Montgomery) values
+/// that costs one Montgomery product per factor instead of the four
+/// behind [`MontCtx::mul_mod`].
+///
+/// `mont_mul` of two plain values loses one factor of `R`, so after `k`
+/// factors the accumulator holds `∏ x_i · R^{-k}`; [`value`](Self::value)
+/// multiplies the `R^k` back in once, at `O(log k)` products.
+#[derive(Clone, Debug)]
+pub struct MontProduct<const L: usize> {
+    /// `∏ x_i · R^{-factors} mod n`.
+    acc: Uint<L>,
+    factors: u64,
+}
+
+impl<const L: usize> Default for MontProduct<L> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const L: usize> MontProduct<L> {
+    /// The empty product (`value` is 1).
+    pub fn new() -> Self {
+        Self {
+            acc: Uint::ONE,
+            factors: 0,
+        }
+    }
+
+    /// Multiply in one factor `x < n`.
+    pub fn mul(&mut self, ctx: &MontCtx<L>, x: &Uint<L>) {
+        self.acc = ctx.mont_mul(&self.acc, x);
+        self.factors += 1;
+    }
+
+    /// Factors multiplied in so far.
+    pub fn factors(&self) -> u64 {
+        self.factors
+    }
+
+    /// The product `∏ x_i mod n` as a plain value; `ctx` must be the
+    /// context every factor was multiplied in under.
+    pub fn value(&self, ctx: &MontCtx<L>) -> Uint<L> {
+        // acc · R^{k+1} · R^{-1} = ∏ x_i · R^{-k} · R^k.
+        let r_k1 = ctx.pow_mod_varexp(&ctx.r1, &[self.factors + 1]);
+        ctx.mont_mul(&self.acc, &r_k1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::uint::{U128, U256};
+
+    #[test]
+    fn mont_product_matches_mul_mod_chain() {
+        let n = U256::from_hex("9f9b41d4cd3cc3db42914b1df5f84da30c82ed1e4728e754fda103b8924619f3")
+            .unwrap();
+        let ctx = MontCtx::new(n);
+        let mut prod = MontProduct::new();
+        let mut chain = U256::ONE;
+        assert_eq!(prod.value(&ctx), chain);
+        for i in 1..=300u64 {
+            let x = U256::from_limbs([i, i ^ 0xABCD, i.rotate_left(17), i]).rem(&n);
+            prod.mul(&ctx, &x);
+            chain = ctx.mul_mod(&chain, &x);
+            assert_eq!(prod.value(&ctx), chain, "after {i} factors");
+        }
+        assert_eq!(prod.factors(), 300);
+    }
 
     #[test]
     fn inv64_works() {

@@ -245,10 +245,15 @@ impl<const L: usize> Uint<L> {
     /// Big-endian byte encoding (fixed width, `L * 8` bytes).
     pub fn to_be_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(L * 8);
+        self.extend_be_bytes(&mut out);
+        out
+    }
+
+    /// Append the big-endian byte encoding (`L * 8` bytes) to `out`.
+    pub fn extend_be_bytes(&self, out: &mut Vec<u8>) {
         for limb in self.0.iter().rev() {
             out.extend_from_slice(&limb.to_be_bytes());
         }
-        out
     }
 
     /// Parse from big-endian bytes. Bytes beyond the width are rejected

@@ -59,8 +59,9 @@ fn main() {
         )
         .expect("honest response verifies");
     println!(
-        "client: verified {} rows with {} signature checks ({})",
+        "client: verified {} rows, {} signed digests authenticated with {} signature checks ({})",
         verified.rows.len(),
+        response.vo.digest_count(),
         verified.report.signatures_checked,
         verified.report.meter,
     );

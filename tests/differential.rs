@@ -8,17 +8,23 @@
 //!
 //! * **identical result rows** — every scheme returns the same
 //!   `(key, values)` list for every query;
+//! * **screen ≡ per-signature** — every response is also verified
+//!   under a verifier that cannot aggregate, so each signature is
+//!   checked on its own: same verdict, same rows;
 //! * **identical accept/reject verdicts** — for honest responses
 //!   (accept, always) and for the tamper modes every scheme detects
 //!   (`MutateValue`, `InjectRow`; the modes where the published
 //!   detection matrices *differ* — silent drops — are covered by
 //!   `tamper_matrix.rs` and are deliberately excluded here).
 //!
-//! The seed is fixed, so a failure reproduces exactly in CI.
+//! The seed is fixed, so a failure reproduces exactly in CI. The
+//! stream runs once under the mock signer and once under RSA.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use vbx::prelude::*;
+use vbx::vbx_crypto::Signature;
 
 const SEED: u64 = 0xD1FF_2026;
 const OPS: usize = 60;
@@ -30,13 +36,13 @@ struct Rig<S: AuthScheme> {
     master: S::Store,
     replica: S::Store,
     schema: Schema,
-    signer: MockSigner,
+    signer: Arc<dyn Signer>,
 }
 
 impl<S: AuthScheme> Rig<S> {
-    fn new(scheme: S, table: &Table, signer: MockSigner) -> Self {
-        let master = scheme.build(table, &signer);
-        let replica = scheme.build(table, &signer);
+    fn new(scheme: S, table: &Table, signer: Arc<dyn Signer>) -> Self {
+        let master = scheme.build(table, signer.as_ref());
+        let replica = scheme.build(table, signer.as_ref());
         Self {
             scheme,
             master,
@@ -44,6 +50,21 @@ impl<S: AuthScheme> Rig<S> {
             schema: table.schema().clone(),
             signer,
         }
+    }
+}
+
+/// A verifier that cannot aggregate: signatures are checked one by one.
+struct PerSignature(Arc<dyn SigVerifier>);
+
+impl SigVerifier for PerSignature {
+    fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
+        self.0.verify(msg, sig)
+    }
+    fn signature_len(&self) -> usize {
+        self.0.signature_len()
+    }
+    fn key_version(&self) -> u32 {
+        self.0.key_version()
     }
 }
 
@@ -68,7 +89,7 @@ impl<S: AuthScheme> DiffRig for Rig<S> {
     fn apply(&mut self, op: &UpdateOp) {
         let payload = self
             .scheme
-            .update(&mut self.master, op, &self.signer)
+            .update(&mut self.master, op, self.signer.as_ref())
             .unwrap_or_else(|e| panic!("{}: owner update failed: {e}", S::NAME));
         self.scheme
             .apply_delta(&mut self.replica, op, &payload, self.signer.key_version())
@@ -78,25 +99,32 @@ impl<S: AuthScheme> DiffRig for Rig<S> {
     fn run(&self, q: &RangeQuery, tamper: &TamperMode) -> (RowSet, bool) {
         let mut resp = self.scheme.range_query(&self.replica, q);
         self.scheme.tamper(&self.replica, q, &mut resp, tamper);
-        let mut meter = CostMeter::new();
-        let verified = self.scheme.verify(
-            &self.schema,
-            self.signer.verifier().as_ref(),
-            q,
-            &resp,
-            &mut meter,
+        let verify = |verifier: &dyn SigVerifier| -> (RowSet, bool) {
+            let mut meter = CostMeter::new();
+            match self
+                .scheme
+                .verify(&self.schema, verifier, q, &resp, &mut meter)
+            {
+                Ok(batch) => (
+                    batch
+                        .rows
+                        .iter()
+                        .map(|r| (r.key, format!("{:?}", r.values)))
+                        .collect(),
+                    true,
+                ),
+                Err(_) => (Vec::new(), false),
+            }
+        };
+        let screened = verify(self.signer.verifier().as_ref());
+        let reference = verify(&PerSignature(self.signer.verifier()));
+        assert_eq!(
+            screened,
+            reference,
+            "{}: screened and per-signature verification diverge on {q:?} under {tamper:?}",
+            S::NAME
         );
-        match verified {
-            Ok(batch) => (
-                batch
-                    .rows
-                    .iter()
-                    .map(|r| (r.key, format!("{:?}", r.values)))
-                    .collect(),
-                true,
-            ),
-            Err(_) => (Vec::new(), false),
-        }
+        screened
     }
 }
 
@@ -116,6 +144,15 @@ fn fresh_tuple(schema: &Schema, key: u64, salt: u64) -> Tuple {
 
 #[test]
 fn three_schemes_agree_on_rows_and_verdicts() {
+    three_schemes_agree(Arc::new(MockSigner::with_version(3, 1)));
+}
+
+#[test]
+fn three_schemes_agree_on_rows_and_verdicts_under_rsa() {
+    three_schemes_agree(Arc::new(rsa::fixture_keypair_crt_512()));
+}
+
+fn three_schemes_agree(signer: Arc<dyn Signer>) {
     let mut rng = StdRng::seed_from_u64(SEED);
     let table = WorkloadSpec::new(INITIAL_ROWS, 4, 10).build();
     let schema = table.schema().clone();
@@ -125,18 +162,14 @@ fn three_schemes_agree_on_rows_and_verdicts() {
         Box::new(Rig::new(
             VbScheme::new(acc.clone(), VbTreeConfig::with_fanout(5)),
             &table,
-            MockSigner::with_version(3, 1),
+            signer.clone(),
         )),
         Box::new(Rig::new(
             NaiveScheme::<4>::new(acc.clone()),
             &table,
-            MockSigner::with_version(3, 1),
+            signer.clone(),
         )),
-        Box::new(Rig::new(
-            MerkleScheme,
-            &table,
-            MockSigner::with_version(3, 1),
-        )),
+        Box::new(Rig::new(MerkleScheme, &table, signer.clone())),
     ];
 
     // The driver mirrors the live key set so generated deletes always
