@@ -20,6 +20,7 @@ use vbx_crypto::accum::exp_from_seed;
 use vbx_crypto::rsa;
 use vbx_crypto::signer::{MockSigner, Signer};
 use vbx_crypto::Acc256;
+use vbx_mathx::{U1024, U256};
 use vbx_storage::workload::WorkloadSpec;
 
 /// One measured operation: `ns_per_op` nanoseconds per execution, with
@@ -101,6 +102,28 @@ pub fn run_perf(rows: u64, smoke: bool) -> Vec<BenchRecord> {
         black_box(acc.combine_all(exps.iter()));
     });
     record(&mut recs, "accum_combine_all_16", chain_iters, combine_all);
+
+    // ---- word-level division: the reduction behind every attribute
+    // hash (a 256-bit digest modulo the 255-bit group order) and behind
+    // each half of a CRT signature (a 1024-bit EM modulo a 512-bit prime) ----
+    let hash_iters = 2000 * scale;
+    let input = [0x5Au8; 60];
+    let hash_ns = time_ns(hash_iters, || {
+        black_box(acc.exp_from_bytes(black_box(&input)));
+    });
+    record(&mut recs, "exp_from_bytes", hash_iters, hash_ns);
+    let q = acc.group().q;
+    let wide = U256::MAX;
+    let rem256 = time_ns(hash_iters, || {
+        black_box(black_box(&wide).rem(&q));
+    });
+    record(&mut recs, "uint_rem_256", hash_iters, rem256);
+    let (p, _) = vbx_mathx::groups::rsa_fixtures::crt_primes_1024();
+    let em = U1024::MAX.shr(8);
+    let rem1024 = time_ns(hash_iters, || {
+        black_box(black_box(&em).rem(&p));
+    });
+    record(&mut recs, "uint_rem_1024_by_512", hash_iters, rem1024);
 
     // ---- RSA sign: CRT vs full-width, same keys ----
     let msg = b"node digest payload for perf measurement";

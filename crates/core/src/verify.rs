@@ -10,11 +10,11 @@
 
 use crate::meter::CostMeter;
 use crate::vo::{CompactResponse, QueryResponse, RangeQuery, ResultRow, VoOp};
-use vbx_crypto::accum::{signed_payload, Accumulator, DigestRole, SignedDigest};
+use vbx_crypto::accum::{extend_signed_payload, Accumulator, DigestRole, ExpProduct, SignedDigest};
 use vbx_crypto::signer::SWEEP_BOUND;
 use vbx_crypto::{AggregateVerify, SigScreen, SigVerifier, Signature, Signer};
 use vbx_mathx::Uint;
-use vbx_storage::Schema;
+use vbx_storage::{AttributeInputs, Schema};
 
 /// Domain-separation tag for freshness-stamp signatures, so a stamp can
 /// never be confused with a digest signature (or vice versa).
@@ -401,15 +401,13 @@ impl<'a, const L: usize> ClientVerifier<'a, L> {
         }
 
         // --- recompute attribute digests from returned values ---
-        let mut total = self.acc.identity();
+        let mut total = ExpProduct::new();
+        let mut inputs = self.schema.attribute_inputs(&returned);
         for row in &resp.rows {
-            for (slot, &col) in returned.iter().enumerate() {
-                let input = self
-                    .schema
-                    .attribute_digest_input(col, row.key, &row.values[slot]);
-                let e = self.acc.exp_from_bytes(&input);
+            for (slot, value) in row.values.iter().enumerate() {
+                let e = self.acc.exp_from_bytes(inputs.input(slot, row.key, value));
                 meter.hash_ops += 1;
-                total = self.acc.combine(&total, &e);
+                total.fold(self.acc, &e);
                 meter.combine_ops += 1;
             }
         }
@@ -427,7 +425,7 @@ impl<'a, const L: usize> ClientVerifier<'a, L> {
             self.acc
                 .screen_digest(&mut screen, "D_P", d)
                 .map_err(bad_sig)?;
-            total = self.acc.combine(&total, &d.exp);
+            total.fold(self.acc, &d.exp);
             meter.combine_ops += 1;
         }
 
@@ -439,7 +437,7 @@ impl<'a, const L: usize> ClientVerifier<'a, L> {
             self.acc
                 .screen_digest(&mut screen, "D_S", d)
                 .map_err(bad_sig)?;
-            total = self.acc.combine(&total, &d.exp);
+            total.fold(self.acc, &d.exp);
             meter.combine_ops += 1;
         }
 
@@ -453,7 +451,7 @@ impl<'a, const L: usize> ClientVerifier<'a, L> {
         meter.verify_ops += screen.finish().map_err(bad_sig)? as u64;
 
         // --- Lemma 1/2: compare in the value domain, h(x) = g^x mod p ---
-        let lifted = self.acc.lift(&total);
+        let lifted = self.acc.lift(&total.value(self.acc));
         let expected = self.acc.lift(&resp.vo.top.exp);
         meter.lift_ops += 2;
         if lifted != expected {
@@ -675,6 +673,8 @@ struct AggSweep<'v> {
     agg: Option<Signature>,
     /// Bare digests absorbed so far.
     absorbed: u64,
+    /// The signed payload being absorbed, rebuilt in place per digest.
+    payload: Vec<u8>,
     screen: SigScreen<'v, &'static str>,
 }
 
@@ -692,11 +692,13 @@ impl<'v> AggSweep<'v> {
             state,
             agg: agg.cloned(),
             absorbed: 0,
+            payload: Vec::new(),
             screen: SigScreen::new(verifier),
         })
     }
 
-    fn absorb(&mut self, msg: &[u8]) -> Result<(), VerifyError> {
+    /// Absorb the signed payload of a bare digest.
+    fn absorb<const L: usize>(&mut self, d: &SignedDigest<L>) -> Result<(), VerifyError> {
         let Some(st) = &mut self.state else {
             // A bare digest in a response with no aggregate signature
             // has no authentication at all.
@@ -710,7 +712,9 @@ impl<'v> AggSweep<'v> {
                 reason: "too many digests for one signature sweep",
             });
         }
-        st.absorb(msg);
+        self.payload.clear();
+        extend_signed_payload(&mut self.payload, d.role, &d.exp);
+        st.absorb(&self.payload);
         Ok(())
     }
 
@@ -750,7 +754,7 @@ fn check_vo_digest<const L: usize>(
     }
     if d.sig.is_empty() {
         meter.hash_ops += 1;
-        sweep.absorb(&signed_payload(d.role, &acc.exp_to_bytes(&d.exp)))
+        sweep.absorb(d)
     } else {
         acc.screen_digest(&mut sweep.screen, part, d)
             .map_err(|part| VerifyError::BadSignature { part })
@@ -761,11 +765,14 @@ fn check_vo_digest<const L: usize>(
 /// lift comparison against the part's signed top digest.
 struct PartMachine<'a, 'q, const L: usize> {
     acc: &'a Accumulator<L>,
-    schema: &'a Schema,
-    stack: Vec<Uint<L>>,
+    /// Digest frames, each a Montgomery running product.
+    stack: Vec<ExpProduct<L>>,
     peak: usize,
     prev_key: Option<u64>,
-    returned: Vec<usize>,
+    /// Hash inputs of the returned columns.
+    inputs: AttributeInputs,
+    /// Values a row must carry: one per returned column.
+    arity: usize,
     query: &'q RangeQuery,
     /// Columns the projection filtered away, whose attribute digests
     /// must arrive via the op stream.
@@ -796,16 +803,15 @@ impl<'a, 'q, const L: usize> PartMachine<'a, 'q, L> {
             return Err(VerifyError::WrongRole { part: "top" });
         }
         check_vo_digest(cv.acc, top, "top", sweep, meter)?;
-        let filtered_cols = num_cols - returned.len();
         Ok(Self {
             acc: cv.acc,
-            schema: cv.schema,
-            stack: vec![cv.acc.identity()],
+            stack: vec![ExpProduct::new()],
             peak: 1,
             prev_key: None,
-            returned,
+            inputs: cv.schema.attribute_inputs(&returned),
+            arity: returned.len(),
             query,
-            filtered_cols,
+            filtered_cols: num_cols - returned.len(),
             rows_seen: 0,
             attr_folds: 0,
         })
@@ -813,7 +819,7 @@ impl<'a, 'q, const L: usize> PartMachine<'a, 'q, L> {
 
     fn fold(&mut self, exp: &Uint<L>, meter: &mut CostMeter) {
         let top = self.stack.last_mut().expect("stack never empties");
-        *top = self.acc.combine(top, exp);
+        top.fold(self.acc, exp);
         meter.combine_ops += 1;
     }
 
@@ -831,7 +837,7 @@ impl<'a, 'q, const L: usize> PartMachine<'a, 'q, L> {
                         reason: "frame stack overflow",
                     });
                 }
-                self.stack.push(self.acc.identity());
+                self.stack.push(ExpProduct::new());
                 self.peak = self.peak.max(self.stack.len());
             }
             OpEvent::End => {
@@ -841,7 +847,9 @@ impl<'a, 'q, const L: usize> PartMachine<'a, 'q, L> {
                     });
                 }
                 let closed = self.stack.pop().expect("len > 1");
-                self.fold(&closed, meter);
+                let top = self.stack.last_mut().expect("len was > 1");
+                top.fold_product(self.acc, &closed);
+                meter.combine_ops += 1;
             }
             OpEvent::Push(d) => {
                 check_vo_digest(self.acc, d, "ops", sweep, meter)?;
@@ -872,15 +880,13 @@ impl<'a, 'q, const L: usize> PartMachine<'a, 'q, L> {
                     return Err(VerifyError::RowsUnsorted);
                 }
                 self.prev_key = Some(row.key);
-                if row.values.len() != self.returned.len() {
+                if row.values.len() != self.arity {
                     return Err(VerifyError::WrongArity { key: row.key });
                 }
-                for slot in 0..self.returned.len() {
-                    let col = self.returned[slot];
-                    let input = self
-                        .schema
-                        .attribute_digest_input(col, row.key, &row.values[slot]);
-                    let e = self.acc.exp_from_bytes(&input);
+                for (slot, value) in row.values.iter().enumerate() {
+                    let e = self
+                        .acc
+                        .exp_from_bytes(self.inputs.input(slot, row.key, value));
                     meter.hash_ops += 1;
                     self.fold(&e, meter);
                 }
@@ -908,7 +914,7 @@ impl<'a, 'q, const L: usize> PartMachine<'a, 'q, L> {
             });
         }
         let total = self.stack.pop().expect("exactly one frame");
-        let lifted = self.acc.lift(&total);
+        let lifted = self.acc.lift(&total.value(self.acc));
         let expected = self.acc.lift(&top.exp);
         meter.lift_ops += 2;
         if lifted != expected {

@@ -11,10 +11,11 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use vbx_core::{
     decode_compact_response, encode_compact_response, execute, execute_compact,
-    execute_multi_compact, measure_compact, measure_response, ClientVerifier, QueryResponse,
-    RangeQuery, TamperMode, VbScheme, VbTree, VbTreeConfig, VerifyError, VoOp,
+    execute_multi_compact, measure_compact, measure_response, ClientVerifier, CostMeter,
+    QueryResponse, RangeQuery, TamperMode, VbScheme, VbTree, VbTreeConfig, VerifyError,
+    VerifyReport, VoOp,
 };
-use vbx_crypto::accum::{signed_payload, DigestRole, SignedDigest};
+use vbx_crypto::accum::{extend_signed_payload, DigestRole, SignedDigest};
 use vbx_crypto::signer::{MockSigner, SigVerifier, Signature, Signer};
 use vbx_crypto::{rsa, sha256, Acc256};
 use vbx_mathx::{modular, MontCtx, Uint};
@@ -428,12 +429,15 @@ fn compensating_root(acc: &Acc256, k: &Uint<4>, k_new: &Uint<4>) -> Uint<4> {
     modular::pow_mod(&acc.uncombine(k, k_new), &e_inv, &q)
 }
 
-/// `EM(msg)` for a 1024-bit key, from the documented encoding.
-fn em_1024(msg: &[u8]) -> Uint<16> {
+/// `EM` of a tuple digest's signed payload for a 1024-bit key, from the
+/// documented encoding.
+fn em_1024(x: &Uint<4>) -> Uint<16> {
+    let mut msg = Vec::new();
+    extend_signed_payload(&mut msg, DigestRole::Tuple, x);
     let mut em = vec![0xFFu8; 127];
     em[0] = 0x01;
     em[127 - 33] = 0x00;
-    em[127 - 32..].copy_from_slice(&sha256(msg));
+    em[127 - 32..].copy_from_slice(&sha256(&msg));
     Uint::from_be_bytes(&em).expect("127 bytes fit")
 }
 
@@ -484,7 +488,7 @@ fn e_copies_of_an_unsigned_digest_do_not_pass_the_sweep() {
         .extend(std::iter::repeat_n(VoOp::Push(unsigned), E as usize));
     let n = *signer.public_key().n();
     let agg = Uint::<16>::from_be_bytes(honest.agg_sig.as_ref().unwrap().as_bytes()).unwrap();
-    let em = em_1024(&signed_payload(DigestRole::Tuple, &acc.exp_to_bytes(&x)));
+    let em = em_1024(&x);
     forged.agg_sig = Some(Signature(MontCtx::new(n).mul_mod(&agg, &em).to_be_bytes()));
 
     let too_many = VerifyError::MalformedVo {
@@ -518,7 +522,7 @@ fn e_copies_of_an_unsigned_digest_do_not_pass_the_flat_screen() {
     client.verify(verifier.as_ref(), &q, &forged).unwrap();
 
     let x = mutate_and_compensate(&tree, &mut forged.rows[0]);
-    let em = em_1024(&signed_payload(DigestRole::Tuple, &acc.exp_to_bytes(&x)));
+    let em = em_1024(&x);
     let unsigned = |sig: Uint<16>| SignedDigest {
         exp: x,
         role: DigestRole::Tuple,
@@ -532,5 +536,177 @@ fn e_copies_of_an_unsigned_digest_do_not_pass_the_flat_screen() {
     assert_eq!(
         client.verify(verifier.as_ref(), &q, &forged),
         Err(VerifyError::BadSignature { part: "D_S" })
+    );
+}
+
+/// The verifiers' reports on a fixed seeded tree, recorded before the
+/// digest frames became Montgomery running products: rows, signature
+/// checks, frame depth and every primitive-operation count must not move
+/// when the arithmetic underneath does.
+#[test]
+fn verify_reports_are_pinned() {
+    let (tree, signer) = build_tree(150, 4);
+    let verifier = signer.verifier();
+    let schema = tree.schema().clone();
+    let acc = tree.accumulator().clone();
+    let client = ClientVerifier::new(&acc, &schema);
+    let report = |rows, signatures_checked, peak_stack_depth, counts: [u64; 4]| VerifyReport {
+        rows,
+        signatures_checked,
+        peak_stack_depth,
+        meter: CostMeter {
+            hash_ops: counts[0],
+            combine_ops: counts[1],
+            sign_ops: 0,
+            verify_ops: counts[2],
+            lift_ops: counts[3],
+        },
+    };
+
+    // Overlapping ranges (shared digests go through the dictionary) and
+    // a projection (attribute digests arrive through the op stream).
+    let queries = vec![
+        RangeQuery::select_all(10, 60),
+        RangeQuery::project(50, 130, vec![0, 2]),
+    ];
+    let aggregated = execute_multi_compact(&tree, &queries, None, Some(verifier.as_ref()));
+    // 315 attribute hashes + 100 absorbed bare digests.
+    let pinned = report(132, 1, 4, [415, 447, 1, 4]);
+    assert_eq!(
+        client.verify_compact(verifier.as_ref(), &queries, &aggregated),
+        Ok(pinned)
+    );
+    let bytes = encode_compact_response(&aggregated);
+    assert_eq!(
+        client.verify_compact_stream(verifier.as_ref(), &queries, &bytes, &mut |_, _| {}),
+        Ok(pinned)
+    );
+
+    // Individually signed digests: the screen, not the sweep.
+    let signed = execute_multi_compact(&tree, &queries, None, None);
+    assert_eq!(
+        client.verify_compact(verifier.as_ref(), &queries, &signed),
+        Ok(report(132, 1, 4, [315, 447, 1, 4]))
+    );
+
+    for (q, pinned) in [
+        (&queries[0], report(51, 1, 0, [153, 160, 1, 2])),
+        (&queries[1], report(81, 1, 0, [162, 253, 1, 2])),
+    ] {
+        let flat = execute(&tree, q, None);
+        assert_eq!(client.verify(verifier.as_ref(), q, &flat), Ok(pinned));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Frame structure: what the product-of-products step must preserve
+// ---------------------------------------------------------------------
+
+/// Both compact verifiers on the same response; they must agree.
+fn compact_verdicts(
+    tree: &VbTree<4>,
+    verifier: &dyn SigVerifier,
+    queries: &[RangeQuery],
+    resp: &vbx_core::CompactResponse<4>,
+) -> Result<VerifyReport, VerifyError> {
+    let schema = tree.schema().clone();
+    let acc = tree.accumulator().clone();
+    let client = ClientVerifier::new(&acc, &schema);
+    let materialised = client.verify_compact(verifier, queries, resp);
+    let bytes = encode_compact_response(resp);
+    let streamed = client.verify_compact_stream(verifier, queries, &bytes, &mut |_, _| {});
+    assert_eq!(materialised, streamed);
+    materialised
+}
+
+/// Frames only group: the part's digest is the product over every frame,
+/// so a digest that crosses an `End` into the enclosing frame leaves it
+/// unchanged — the paper's `D_S` is a set. What must not pass is the
+/// exponent counted in both frames, or in neither.
+#[test]
+fn digest_moved_across_an_end_folds_into_the_same_product() {
+    let (tree, signer) = build_tree(150, 4);
+    let verifier = signer.verifier();
+    let queries = [RangeQuery::project(50, 130, vec![0, 2])];
+    let honest = execute_multi_compact(&tree, &queries, None, Some(verifier.as_ref()));
+    let report = compact_verdicts(&tree, verifier.as_ref(), &queries, &honest).unwrap();
+
+    let ops = &honest.parts[0].ops;
+    let at = (0..ops.len() - 1)
+        .find(|&i| {
+            matches!((&ops[i], &ops[i + 1]), (VoOp::Push(d), VoOp::End) if d.role != DigestRole::Attribute)
+        })
+        .expect("some frame closes on a pushed tuple or node digest");
+
+    // Out of its frame, into the parent's.
+    let mut moved = honest.clone();
+    moved.parts[0].ops.swap(at, at + 1);
+    assert_eq!(
+        compact_verdicts(&tree, verifier.as_ref(), &queries, &moved),
+        Ok(report)
+    );
+
+    // In both frames.
+    let mut twice = honest.clone();
+    let dup = twice.parts[0].ops[at].clone();
+    twice.parts[0].ops.insert(at + 2, dup);
+    assert_eq!(
+        compact_verdicts(&tree, verifier.as_ref(), &queries, &twice),
+        Err(VerifyError::DigestMismatch)
+    );
+
+    // In neither.
+    let mut dropped = honest.clone();
+    dropped.parts[0].ops.remove(at);
+    assert_eq!(
+        compact_verdicts(&tree, verifier.as_ref(), &queries, &dropped),
+        Err(VerifyError::DigestMismatch)
+    );
+}
+
+/// An empty frame folds the empty product into its parent: one more
+/// combine, the same digest. A frame left open, or closed twice, is
+/// still malformed.
+#[test]
+fn empty_frame_is_the_identity() {
+    let (tree, signer) = build_tree(150, 4);
+    let verifier = signer.verifier();
+    let queries = [RangeQuery::select_all(10, 60)];
+    let honest = execute_multi_compact(&tree, &queries, None, Some(verifier.as_ref()));
+    let report = compact_verdicts(&tree, verifier.as_ref(), &queries, &honest).unwrap();
+    let with_ops = |at: usize, extra: &[VoOp<4>]| {
+        let mut resp = honest.clone();
+        resp.parts[0].ops.splice(at..at, extra.iter().cloned());
+        compact_verdicts(&tree, verifier.as_ref(), &queries, &resp)
+    };
+
+    let ops = &honest.parts[0].ops;
+    for at in [0, ops.len() / 2, ops.len()] {
+        let open_frames = ops[..at].iter().fold(1usize, |depth, op| match op {
+            VoOp::Begin => depth + 1,
+            VoOp::End => depth - 1,
+            _ => depth,
+        });
+        let mut expected = report;
+        expected.meter.combine_ops += 1;
+        expected.peak_stack_depth = report.peak_stack_depth.max(open_frames + 1);
+        assert_eq!(
+            with_ops(at, &[VoOp::Begin, VoOp::End]),
+            Ok(expected),
+            "at {at}"
+        );
+    }
+
+    assert_eq!(
+        with_ops(0, &[VoOp::Begin]),
+        Err(VerifyError::MalformedVo {
+            reason: "unbalanced op stream"
+        })
+    );
+    assert_eq!(
+        with_ops(0, &[VoOp::End]),
+        Err(VerifyError::MalformedVo {
+            reason: "frame stack underflow"
+        })
     );
 }

@@ -271,6 +271,26 @@ fn forged_ds_digest_detected() {
     assert_eq!(err, VerifyError::BadSignature { part: "D_S" });
 }
 
+/// The flat verifier's one running product: an authentically signed
+/// digest folded in twice, or not at all, passes the signature screen
+/// and must fail the digest equation.
+#[test]
+fn signed_digest_folded_twice_or_dropped_detected() {
+    let f = fixture(50, 4);
+    let q = RangeQuery::project(10, 30, vec![1, 3]);
+    let honest = execute(&f.tree, &q, None);
+    let verdict = |resp| f.client().verify(f.signer.verifier().as_ref(), &q, resp);
+    assert!(verdict(&honest).is_ok());
+
+    let mut twice = honest.clone();
+    twice.vo.d_s.push(honest.vo.d_s[0].clone());
+    assert_eq!(verdict(&twice), Err(VerifyError::DigestMismatch));
+
+    let mut dropped = honest.clone();
+    dropped.vo.d_s.remove(0);
+    assert_eq!(verdict(&dropped), Err(VerifyError::DigestMismatch));
+}
+
 #[test]
 fn forged_top_digest_detected() {
     let f = fixture(50, 4);

@@ -21,11 +21,10 @@
 //! *reversed out* (`E' = E · E_T^{-1} mod q`) because `Z_q` is a field —
 //! see [`Accumulator::uncombine`].
 
-use crate::hash::{sha256, HashAlgo};
+use crate::hash::{sha256, HashAlgo, MAX_DIGEST_LEN};
 use crate::signer::{SigScreen, SigVerifier, Signature, Signer};
-use std::cell::RefCell;
 use vbx_mathx::groups::SafePrimeGroup;
-use vbx_mathx::{modular, FixedBaseTable, MontCtx, Uint};
+use vbx_mathx::{modular, FixedBaseTable, MontCtx, MontProduct, Uint};
 
 /// The digest algebra for a fixed group width of `L` limbs.
 ///
@@ -109,35 +108,30 @@ impl<const L: usize> Accumulator<L> {
     /// concatenated until the group width is covered, then reduced mod
     /// `q`; zero maps to 1 so the result is always invertible.
     pub fn exp_from_bytes(&self, data: &[u8]) -> Uint<L> {
-        // Thread-local scratch: this runs once per attribute of every
-        // tuple (the build/verify hot loop), so the hash material and
-        // counter-prefixed block buffers are reused across calls instead
-        // of allocated per call. Thread-local (not a field) keeps the
-        // accumulator shareable across the parallel-build workers.
-        thread_local! {
-            static SCRATCH: RefCell<(Vec<u8>, Vec<u8>)> =
-                const { RefCell::new((Vec::new(), Vec::new())) };
+        // This runs once per attribute of every tuple (the build/verify
+        // hot loop): `counter ‖ data` is streamed into the hasher and
+        // each digest byte lands in its limb, most significant first, so
+        // nothing is allocated or copied on the way to the reduction.
+        let mut limbs = [0u64; L];
+        let mut digest = [0u8; MAX_DIGEST_LEN];
+        let mut missing = L * 8;
+        let mut counter = 0u32;
+        while missing > 0 {
+            let n = self
+                .hash
+                .digest_parts(&[&counter.to_be_bytes(), data], &mut digest);
+            for &b in digest[..n].iter().take(missing) {
+                missing -= 1;
+                limbs[missing / 8] |= (b as u64) << (8 * (missing % 8));
+            }
+            counter += 1;
         }
-        SCRATCH.with(|cell| {
-            let (material, block) = &mut *cell.borrow_mut();
-            material.clear();
-            let mut counter = 0u32;
-            while material.len() < L * 8 {
-                block.clear();
-                block.extend_from_slice(&counter.to_be_bytes());
-                block.extend_from_slice(data);
-                material.extend_from_slice(&self.hash.digest(block));
-                counter += 1;
-            }
-            material.truncate(L * 8);
-            let wide = Uint::<L>::from_be_bytes(material).expect("exact width");
-            let e = wide.rem(&self.group.q);
-            if e.is_zero() {
-                Uint::ONE
-            } else {
-                e
-            }
-        })
+        let e = Uint::from_limbs(limbs).rem(&self.group.q);
+        if e.is_zero() {
+            Uint::ONE
+        } else {
+            e
+        }
     }
 
     /// Commutative combination: `a · b mod q` — the paper's
@@ -231,7 +225,8 @@ impl<const L: usize> Accumulator<L> {
         role: DigestRole,
         e: &Uint<L>,
     ) -> SignedDigest<L> {
-        let msg = signed_payload(role, &self.exp_to_bytes(e));
+        let mut msg = Vec::with_capacity(L * 8 + 9);
+        extend_signed_payload(&mut msg, role, e);
         SignedDigest {
             exp: *e,
             role,
@@ -244,7 +239,8 @@ impl<const L: usize> Accumulator<L> {
         if d.exp.is_zero() || d.exp >= self.group.q {
             return false;
         }
-        let msg = signed_payload(d.role, &self.exp_to_bytes(&d.exp));
+        let mut msg = Vec::with_capacity(L * 8 + 9);
+        extend_signed_payload(&mut msg, d.role, &d.exp);
         verifier.verify(&msg, &d.sig)
     }
 
@@ -263,9 +259,7 @@ impl<const L: usize> Accumulator<L> {
             return Err(tag);
         }
         screen.push_with(tag, &d.sig, |msg| {
-            msg.extend_from_slice(PAYLOAD_DOMAIN);
-            msg.push(d.role.tag());
-            d.exp.extend_be_bytes(msg);
+            extend_signed_payload(msg, d.role, &d.exp)
         })
     }
 }
@@ -317,16 +311,48 @@ impl DigestRole {
 
 const PAYLOAD_DOMAIN: &[u8; 8] = b"vbx-dgst";
 
-/// The exact message a [`SignedDigest`]'s signature covers:
-/// `"vbx-dgst" ‖ role ‖ exp`. Public so aggregate verification
-/// ([`crate::signer::AggregateVerify`]) can absorb the same bytes the
-/// central server signed.
-pub fn signed_payload(role: DigestRole, exp_bytes: &[u8]) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(exp_bytes.len() + 9);
-    msg.extend_from_slice(PAYLOAD_DOMAIN);
-    msg.push(role.tag());
-    msg.extend_from_slice(exp_bytes);
-    msg
+/// Append the exact message a [`SignedDigest`]'s signature covers —
+/// `"vbx-dgst" ‖ role ‖ exp` — to `out`. Public so aggregate
+/// verification ([`crate::signer::AggregateVerify`]) can absorb the same
+/// bytes the central server signed, one payload after another through a
+/// reused buffer.
+pub fn extend_signed_payload<const L: usize>(out: &mut Vec<u8>, role: DigestRole, exp: &Uint<L>) {
+    out.extend_from_slice(PAYLOAD_DOMAIN);
+    out.push(role.tag());
+    exp.extend_be_bytes(out);
+}
+
+/// A running exponent product `∏ e_i mod q` — a verifier's digest frame.
+///
+/// Folding costs one Montgomery product per exponent instead of the
+/// four behind [`Accumulator::combine`]; the plain value is recovered
+/// once, by [`value`](Self::value). Every method must be given the
+/// accumulator the product was started under.
+#[derive(Clone, Debug, Default)]
+pub struct ExpProduct<const L: usize>(MontProduct<L>);
+
+impl<const L: usize> ExpProduct<L> {
+    /// The empty product (`value` is the identity exponent).
+    pub fn new() -> Self {
+        Self(MontProduct::new())
+    }
+
+    /// Fold in one exponent `e < q`.
+    pub fn fold(&mut self, acc: &Accumulator<L>, e: &Uint<L>) {
+        self.0.mul(&acc.mont_q, e);
+    }
+
+    /// Fold in a whole inner product (a closed frame) at the price of
+    /// one exponent.
+    pub fn fold_product(&mut self, acc: &Accumulator<L>, inner: &Self) {
+        self.0.mul_product(&acc.mont_q, &inner.0);
+    }
+
+    /// The product as a plain exponent — what a chain of
+    /// [`Accumulator::combine`] calls over the same exponents returns.
+    pub fn value(&self, acc: &Accumulator<L>) -> Uint<L> {
+        self.0.value(&acc.mont_q)
+    }
 }
 
 /// A digest exponent together with the central server's signature over
@@ -380,6 +406,70 @@ mod tests {
             assert!(!e.is_zero());
             assert!(e < a.group().q);
         }
+    }
+
+    /// Formula (1)'s hash-to-`Z_q*` spelled out byte by byte: hash
+    /// `counter ‖ data` blocks into a buffer, truncate to the group
+    /// width, read it big-endian, subtract `q` until below it.
+    fn exp_from_bytes_reference<const L: usize>(a: &Accumulator<L>, data: &[u8]) -> Uint<L> {
+        let mut material = Vec::new();
+        let mut counter = 0u32;
+        while material.len() < L * 8 {
+            let mut block = counter.to_be_bytes().to_vec();
+            block.extend_from_slice(data);
+            material.extend_from_slice(&a.hash_algo().digest(&block));
+            counter += 1;
+        }
+        let mut e = Uint::<L>::from_be_bytes(&material[..L * 8]).unwrap();
+        while e >= a.group().q {
+            e = e.wrapping_sub(&a.group().q);
+        }
+        if e.is_zero() {
+            Uint::ONE
+        } else {
+            e
+        }
+    }
+
+    #[test]
+    fn exp_from_bytes_matches_bytewise_reference() {
+        fn check<const L: usize>(group: SafePrimeGroup<L>) {
+            // MD5 needs two blocks per 256-bit exponent and four per
+            // 512-bit one; SHA-1's 20 bytes never divide the width.
+            for algo in [HashAlgo::Sha256, HashAlgo::Sha1, HashAlgo::Md5] {
+                let a = Accumulator::with_hash(group, algo);
+                for len in [0usize, 1, 27, 51, 52, 59, 60, 61, 120, 300] {
+                    let data: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
+                    assert_eq!(
+                        a.exp_from_bytes(&data),
+                        exp_from_bytes_reference(&a, &data),
+                        "{algo:?}, L = {L}, {len} bytes"
+                    );
+                }
+            }
+        }
+        check(vbx_mathx::groups::test_group_256());
+        check(vbx_mathx::groups::test_group_512());
+    }
+
+    #[test]
+    fn exp_product_matches_combine_chain() {
+        let a = acc();
+        let exps: Vec<_> = (0..40).map(|i| exp_from_seed(&a, i)).collect();
+        // Frames nested as the compact verifier nests them, one of them
+        // empty: ((e0..e9) (e10..e19 ()) e20..e39).
+        let mut outer = ExpProduct::new();
+        let mut first = ExpProduct::new();
+        let mut second = ExpProduct::new();
+        exps[..10].iter().for_each(|e| first.fold(&a, e));
+        exps[10..20].iter().for_each(|e| second.fold(&a, e));
+        second.fold_product(&a, &ExpProduct::new());
+        outer.fold_product(&a, &first);
+        outer.fold_product(&a, &second);
+        exps[20..].iter().for_each(|e| outer.fold(&a, e));
+        let chain = exps.iter().fold(a.identity(), |t, e| a.combine(&t, e));
+        assert_eq!(outer.value(&a), chain);
+        assert_eq!(ExpProduct::new().value(&a), a.identity());
     }
 
     #[test]

@@ -34,12 +34,55 @@ impl HashAlgo {
 
     /// Hash `data` with the selected algorithm.
     pub fn digest(self, data: &[u8]) -> Vec<u8> {
+        let mut out = [0u8; MAX_DIGEST_LEN];
+        let n = self.digest_parts(&[data], &mut out);
+        out[..n].to_vec()
+    }
+
+    /// Hash the concatenation of `parts`, streamed into the hasher one
+    /// after the other, into the front of `out`; returns the digest
+    /// length. Allocates nothing.
+    pub fn digest_parts(self, parts: &[&[u8]], out: &mut [u8; MAX_DIGEST_LEN]) -> usize {
+        macro_rules! stream {
+            ($hasher:ty) => {{
+                let mut h = <$hasher>::new();
+                for part in parts {
+                    h.update(part);
+                }
+                let d = h.finalize();
+                out[..d.len()].copy_from_slice(&d);
+                d.len()
+            }};
+        }
         match self {
-            HashAlgo::Md5 => md5(data).to_vec(),
-            HashAlgo::Sha1 => sha1(data).to_vec(),
-            HashAlgo::Sha256 => sha256(data).to_vec(),
+            HashAlgo::Md5 => stream!(Md5),
+            HashAlgo::Sha1 => stream!(Sha1),
+            HashAlgo::Sha256 => stream!(Sha256),
         }
     }
+}
+
+/// The longest digest any [`HashAlgo`] produces (SHA-256's 32 bytes).
+pub const MAX_DIGEST_LEN: usize = 32;
+
+/// Merkle–Damgård padding, shared by the three hashes: `0x80`, zeros up
+/// to 56 mod 64, then the 8 length bytes — written in place into the
+/// final block, which is compressed once, or twice when fewer than 9
+/// bytes of it were free.
+fn pad_and_compress(
+    mut block: [u8; 64],
+    buf_len: usize,
+    len_bytes: [u8; 8],
+    mut compress: impl FnMut(&[u8; 64]),
+) {
+    block[buf_len] = 0x80;
+    block[buf_len + 1..].fill(0);
+    if buf_len >= 56 {
+        compress(&block);
+        block = [0; 64];
+    }
+    block[56..].copy_from_slice(&len_bytes);
+    compress(&block);
 }
 
 // ---------------------------------------------------------------------------
@@ -114,16 +157,9 @@ impl Sha256 {
     /// Finish and produce the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Length counts only the original message, but `update` above
-        // incremented total_len; that is fine because we captured bit_len
-        // before padding.
-        self.total_len = 0;
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        pad_and_compress(self.buf, self.buf_len, bit_len.to_be_bytes(), |b| {
+            self.compress(b)
+        });
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -236,11 +272,9 @@ impl Sha1 {
     /// Finish and produce the 20-byte digest.
     pub fn finalize(mut self) -> [u8; 20] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.update(&bit_len.to_be_bytes());
+        pad_and_compress(self.buf, self.buf_len, bit_len.to_be_bytes(), |b| {
+            self.compress(b)
+        });
         let mut out = [0u8; 20];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -365,11 +399,10 @@ impl Md5 {
     /// Finish and produce the 16-byte digest.
     pub fn finalize(mut self) -> [u8; 16] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.update(&bit_len.to_le_bytes()); // MD5 length is little-endian
+        // MD5's length suffix is little-endian.
+        pad_and_compress(self.buf, self.buf_len, bit_len.to_le_bytes(), |b| {
+            self.compress(b)
+        });
         let mut out = [0u8; 16];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
@@ -489,6 +522,65 @@ mod tests {
             hex(&md5(b"The quick brown fox jumps over the lazy dog")),
             "9e107d9d372bb6826bd81d3542a419d6"
         );
+    }
+
+    /// `n` × `a` on both sides of the padding boundaries: 55 bytes is
+    /// the longest message whose padding fits its own block, 56–63 spill
+    /// the length into a second block, 64 leaves an empty buffer, 119 is
+    /// 55 again one block later.
+    #[test]
+    fn padding_boundary_vectors() {
+        let vectors = [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+                "c1c8bbdc22796e28c0e15163d20899b65621d65a",
+                "ef1772b6dff9a122358552954ad0df65",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+                "c2db330f6083854c99d4b5bfb6e8f29f201be699",
+                "3b0c8ac703f828b04c6c197006d17218",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+                "03f09f5b158a7a8cdad920bddc29b81c18a551f5",
+                "b06521f39153d618550606be297466d5",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+                "0098ba824b5c16427bd7a1122a5a442a25ec644d",
+                "014842d480b571495a4a0363793f7367",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+                "ee971065aaa017e0632a8ca6c77bb3bf8b1dfc56",
+                "8a7bd0732ed6a28ce75f6dabc90e1613",
+            ),
+        ];
+        for (n, want256, want1, want5) in vectors {
+            let data = vec![b'a'; n];
+            assert_eq!(hex(&sha256(&data)), want256, "sha256, {n} bytes");
+            assert_eq!(hex(&sha1(&data)), want1, "sha1, {n} bytes");
+            assert_eq!(hex(&md5(&data)), want5, "md5, {n} bytes");
+        }
+    }
+
+    #[test]
+    fn digest_parts_streams_the_concatenation() {
+        let data: Vec<u8> = (0..200u8).collect();
+        for algo in [HashAlgo::Md5, HashAlgo::Sha1, HashAlgo::Sha256] {
+            let whole = algo.digest(&data);
+            for split in [0usize, 4, 64, 199] {
+                let mut out = [0u8; MAX_DIGEST_LEN];
+                let n = algo.digest_parts(&[&data[..split], &data[split..]], &mut out);
+                assert_eq!(&out[..n], &whole[..], "{algo:?} split {split}");
+            }
+        }
     }
 
     #[test]

@@ -61,11 +61,7 @@ impl<const L: usize> MontCtx<L> {
         assert!(!n.is_one() && !n.is_zero(), "modulus must exceed 1");
         let n0_inv = inv64(n.limbs()[0]).wrapping_neg();
 
-        // r1 = 2^(64L) mod n: start from the top bit representable and
-        // double with reduction 64L - (bits-1) ... simpler: long-divide.
-        let mut wide = vec![0u64; 2 * L + 1];
-        wide[2 * L] = 0;
-        // set bit 64*L
+        // r1 = 2^(64L) mod n by long division.
         let mut num = vec![0u64; L + 1];
         num[L] = 1;
         slice_ops::div_rem(&mut num, n.limbs(), None);
@@ -81,7 +77,6 @@ impl<const L: usize> MontCtx<L> {
         r2.copy_from_slice(&prod[..L]);
         let r2 = Uint::from_limbs(r2);
 
-        let _ = &mut wide;
         Self { n, n0_inv, r2, r1 }
     }
 
@@ -196,51 +191,55 @@ impl<const L: usize> MontCtx<L> {
             return self.from_mont(&self.r1); // base^0 = 1
         }
         let base_m = self.to_mont(&base.rem(&self.n));
-        let mut t = vec![0u64; 2 * L + 1]; // shared scratch for every step
-        if nbits <= 24 {
-            // Short exponents — including RSA verify's e = 65537
-            // (17 bits, 2 set bits): the 8-multiplication window table
-            // would cost more than it saves below ~24 bits.
-            let mut acc = base_m;
-            for i in (0..nbits - 1).rev() {
-                acc = self.sqr_into(&mut t, &acc);
-                if slice_ops::bit(exp, i) {
-                    acc = self.mul_into(&mut t, &acc, &base_m);
+        // One borrow of the scratch for the whole ladder: the steps
+        // inside use `mul_into`/`sqr_into`, never the borrowing wrappers.
+        let acc = with_scratch(2 * L + 1, |t| {
+            if nbits <= 24 {
+                // Short exponents — including RSA verify's e = 65537
+                // (17 bits, 2 set bits): the 8-multiplication window table
+                // would cost more than it saves below ~24 bits.
+                let mut acc = base_m;
+                for i in (0..nbits - 1).rev() {
+                    acc = self.sqr_into(t, &acc);
+                    if slice_ops::bit(exp, i) {
+                        acc = self.mul_into(t, &acc, &base_m);
+                    }
                 }
+                return acc;
             }
-            return self.from_mont(&acc);
-        }
 
-        // Odd powers base^(2k+1) for k in 0..8, in Montgomery form.
-        let base_sq = self.sqr_into(&mut t, &base_m);
-        let mut odd = [base_m; 8];
-        for k in 1..8 {
-            odd[k] = self.mul_into(&mut t, &odd[k - 1], &base_sq);
-        }
+            // Odd powers base^(2k+1) for k in 0..8, in Montgomery form.
+            let base_sq = self.sqr_into(t, &base_m);
+            let mut odd = [base_m; 8];
+            for k in 1..8 {
+                odd[k] = self.mul_into(t, &odd[k - 1], &base_sq);
+            }
 
-        let mut acc = self.r1; // 1 in Montgomery form
-        let mut i = nbits as isize - 1;
-        while i >= 0 {
-            if !slice_ops::bit(exp, i as usize) {
-                acc = self.sqr_into(&mut t, &acc);
-                i -= 1;
-                continue;
+            let mut acc = self.r1; // 1 in Montgomery form
+            let mut i = nbits as isize - 1;
+            while i >= 0 {
+                if !slice_ops::bit(exp, i as usize) {
+                    acc = self.sqr_into(t, &acc);
+                    i -= 1;
+                    continue;
+                }
+                // Greedy window [j, i] of at most 4 bits ending on a set bit.
+                let mut j = (i - 3).max(0);
+                while !slice_ops::bit(exp, j as usize) {
+                    j += 1;
+                }
+                let mut val = 0usize;
+                for k in (j..=i).rev() {
+                    val = (val << 1) | slice_ops::bit(exp, k as usize) as usize;
+                }
+                for _ in j..=i {
+                    acc = self.sqr_into(t, &acc);
+                }
+                acc = self.mul_into(t, &acc, &odd[val >> 1]);
+                i = j - 1;
             }
-            // Greedy window [j, i] of at most 4 bits ending on a set bit.
-            let mut j = (i - 3).max(0);
-            while !slice_ops::bit(exp, j as usize) {
-                j += 1;
-            }
-            let mut val = 0usize;
-            for k in (j..=i).rev() {
-                val = (val << 1) | slice_ops::bit(exp, k as usize) as usize;
-            }
-            for _ in j..=i {
-                acc = self.sqr_into(&mut t, &acc);
-            }
-            acc = self.mul_into(&mut t, &acc, &odd[val >> 1]);
-            i = j - 1;
-        }
+            acc
+        });
         self.from_mont(&acc)
     }
 
@@ -306,6 +305,13 @@ impl<const L: usize> MontProduct<L> {
         self.factors += 1;
     }
 
+    /// Multiply in a whole other product — one Montgomery product, which
+    /// (like any other) counts as one more factor of `R^{-1}`.
+    pub fn mul_product(&mut self, ctx: &MontCtx<L>, other: &Self) {
+        self.acc = ctx.mont_mul(&self.acc, &other.acc);
+        self.factors += other.factors + 1;
+    }
+
     /// Factors multiplied in so far.
     pub fn factors(&self) -> u64 {
         self.factors
@@ -340,6 +346,18 @@ mod tests {
             assert_eq!(prod.value(&ctx), chain, "after {i} factors");
         }
         assert_eq!(prod.factors(), 300);
+
+        // Product of products, including an empty one.
+        let mut inner = MontProduct::new();
+        for i in 1..=7u64 {
+            let x = U256::from_limbs([i, 3, i << 40, 9]).rem(&n);
+            inner.mul(&ctx, &x);
+            chain = ctx.mul_mod(&chain, &x);
+        }
+        prod.mul_product(&ctx, &inner);
+        prod.mul_product(&ctx, &MontProduct::new());
+        assert_eq!(prod.value(&ctx), chain);
+        assert_eq!(prod.factors(), 300 + 7 + 2);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod workload;
 pub use checkpoint::{CheckpointBuilder, CheckpointReader};
 pub use geometry::Geometry;
 pub use page::SlottedPage;
-pub use schema::{ColumnDef, Schema};
+pub use schema::{AttributeInputs, ColumnDef, Schema};
 pub use table::{Catalog, Table};
 pub use tuple::Tuple;
 pub use value::{ColumnType, Value};

@@ -43,6 +43,32 @@ pub struct Schema {
     pub columns: Vec<ColumnDef>,
 }
 
+/// Formula (1)'s hash inputs for a fixed list of columns, built in one
+/// reused buffer: each column's `db ‖ table ‖ attr` head is encoded once
+/// up front and a value only appends `key ‖ value` to it. Made by
+/// [`Schema::attribute_inputs`].
+pub struct AttributeInputs {
+    /// The columns' heads, back to back.
+    heads: Vec<u8>,
+    /// End offset in `heads` of each column's head.
+    ends: Vec<usize>,
+    buf: Vec<u8>,
+}
+
+impl AttributeInputs {
+    /// What `Schema::attribute_digest_input` returns for the `slot`-th
+    /// of the columns this was made for; valid until the next call.
+    pub fn input(&mut self, slot: usize, key: u64, value: &Value) -> &[u8] {
+        let start = if slot == 0 { 0 } else { self.ends[slot - 1] };
+        self.buf.clear();
+        self.buf
+            .extend_from_slice(&self.heads[start..self.ends[slot]]);
+        self.buf.extend_from_slice(&key.to_be_bytes());
+        value.encode_into(&mut self.buf);
+        &self.buf
+    }
+}
+
 impl Schema {
     /// Create a schema.
     pub fn new(
@@ -108,17 +134,42 @@ impl Schema {
         let mut out = Vec::with_capacity(
             self.database.len() + self.table.len() + attr.len() + 32 + value.wire_len(),
         );
+        self.attribute_digest_prefix(column, &mut out);
+        out.extend_from_slice(&key.to_be_bytes());
+        value.encode_into(&mut out);
+        out
+    }
+
+    /// Append the `db ‖ table ‖ attr` head of formula (1)'s input — the
+    /// part that is the same for every value of a column.
+    fn attribute_digest_prefix(&self, column: usize, out: &mut Vec<u8>) {
         for part in [
             self.database.as_bytes(),
             self.table.as_bytes(),
-            attr.as_bytes(),
+            self.columns[column].name.as_bytes(),
         ] {
             out.extend_from_slice(&(part.len() as u32).to_be_bytes());
             out.extend_from_slice(part);
         }
-        out.extend_from_slice(&key.to_be_bytes());
-        value.encode_into(&mut out);
-        out
+    }
+
+    /// [`attribute_digest_input`](Self::attribute_digest_input) for many
+    /// values of the given `columns` (valid indices, e.g. a query's
+    /// returned columns) without an allocation per value.
+    pub fn attribute_inputs(&self, columns: &[usize]) -> AttributeInputs {
+        let mut heads = Vec::new();
+        let ends = columns
+            .iter()
+            .map(|&col| {
+                self.attribute_digest_prefix(col, &mut heads);
+                heads.len()
+            })
+            .collect();
+        AttributeInputs {
+            heads,
+            ends,
+            buf: Vec::new(),
+        }
     }
 
     /// Serialize the schema (distribution bundles carry schemas so edge
@@ -264,6 +315,23 @@ mod tests {
         let other = Schema::new("bank2", "accounts", "id", s.columns.clone());
         let d = other.attribute_digest_input(0, 1, &Value::from("alice"));
         assert_ne!(a, d, "different databases must hash differently");
+    }
+
+    #[test]
+    fn attribute_inputs_match_digest_input() {
+        let s = schema();
+        // Columns out of order and repeated: slots index the list given.
+        let columns = [1usize, 0, 1];
+        let values = [Value::from(7i64), Value::from("bob"), Value::from(-1i64)];
+        let mut inputs = s.attribute_inputs(&columns);
+        for key in [0u64, 42, u64::MAX] {
+            for (slot, (&col, v)) in columns.iter().zip(&values).enumerate() {
+                assert_eq!(
+                    inputs.input(slot, key, v),
+                    s.attribute_digest_input(col, key, v)
+                );
+            }
+        }
     }
 
     #[test]
