@@ -30,7 +30,7 @@ pub struct Params {
     /// which reproduces the peaks of Figure 12).
     pub combine_ratio: f64,
     /// `Cost_sign / Cost_h1` — signature *generation* cost. The paper
-    /// cites [15]: signing ≈ 100× verification ≈ 10000× hashing.
+    /// cites \[15\]: signing ≈ 100× verification ≈ 10000× hashing.
     pub sign_ratio: f64,
 }
 

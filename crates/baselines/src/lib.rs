@@ -9,7 +9,7 @@
 //!   grow with per-row signature work — equations (A.1)/(A.2), plotted
 //!   against the VB-tree in Figures 10–13.
 //! * [`merkle`] — a **Merkle hash tree** in the style of Devanbu et al.
-//!   [5] (and the paper's own Figure 1): a binary hash tree over the
+//!   \[5\] (and the paper's own Figure 1): a binary hash tree over the
 //!   sorted table with a single signed root. Its VOs reach the root, so
 //!   they grow with `log N_R` — the overhead the VB-tree's per-node
 //!   signatures eliminate — but, unlike the VB-tree, its range proofs

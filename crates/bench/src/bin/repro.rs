@@ -124,7 +124,7 @@ fn main() {
 
     if section == "txn" {
         // Named-only (writes BENCH_txn.json); not part of `all`. The
-        // transaction benchmark: one CommitTxn fsync for a whole
+        // transaction benchmark: one txn-record fsync for a whole
         // multi-table atom vs k per-table commits, recovery replay,
         // and the two invariants CI gates on — zero divergences and
         // zero partially-recovered txns.

@@ -145,7 +145,7 @@ pub fn run_serve(rows: u64, smoke: bool, write_batch: &[usize]) -> Vec<BenchReco
                 } else {
                     central.delete("items", i).expect("delete")
                 };
-                edge.apply_delta(&delta).expect("replay");
+                edge.apply_delta_batch(&delta).expect("replay");
                 per_delta.push(t0.elapsed().as_nanos() as u64);
             }
             stop.store(true, Ordering::Relaxed);
@@ -195,7 +195,7 @@ pub fn run_serve(rows: u64, smoke: bool, write_batch: &[usize]) -> Vec<BenchReco
         )
         .expect("schema-conformant tuple");
         let delta = central.insert("items", t).expect("insert");
-        edge.apply_delta(&delta).expect("replay");
+        edge.apply_delta_batch(&delta).expect("replay");
     }
     let probe_span = ((rows as f64 * 0.02) as u64).max(1);
     let probes: Vec<RangeQuery> = (0..16u64)

@@ -1,6 +1,6 @@
 //! The transaction benchmark behind `repro -- txn`: measures what the
 //! single-record atomic multi-table commit costs on the write path
-//! (one checksummed `CommitTxn` WAL fsync for the whole txn vs k
+//! (one checksummed txn-record WAL fsync for the whole txn vs k
 //! separate single-table group commits), then crash-recovers and
 //! proves two invariants that CI gates on through the committed file:
 //! recovery divergences = 0 (the recovered server is byte-identical to
@@ -79,7 +79,7 @@ pub fn run_txn(rows: u64, smoke: bool) -> Vec<BenchRecord> {
     };
     let base = 1 << 20; // keys above the seeded rows
 
-    // ---- write path: one CommitTxn fsync covers both tables --------
+    // ---- write path: one txn-record fsync covers both tables --------
     let dir_txn = root.join("txn");
     let vfs: Arc<dyn Vfs> = Arc::new(DiskVfs::open(&dir_txn).expect("temp vfs"));
     let mut central = durable_central(vfs, rows, config);
@@ -127,7 +127,7 @@ pub fn run_txn(rows: u64, smoke: bool) -> Vec<BenchRecord> {
 
     // ---- write path: the same ops as k per-table commits -----------
     // (one signing sweep + one fsync per table instead of one
-    // CommitTxn record for the whole atom).
+    // txn record for the whole atom).
     let dir_split = root.join("split");
     let vfs: Arc<dyn Vfs> = Arc::new(DiskVfs::open(&dir_split).expect("temp vfs"));
     let mut split = durable_central(vfs, rows, config);
@@ -178,7 +178,7 @@ pub fn run_txn(rows: u64, smoke: bool) -> Vec<BenchRecord> {
     });
 
     // A txn that recovered in one table but not the other would be the
-    // partial flush the CommitTxn record exists to rule out.
+    // partial flush the txn record exists to rule out.
     let mut partial_flushes = 0u64;
     for i in 0..txns {
         for j in 0..SECTION_OPS {

@@ -11,14 +11,16 @@
 //!
 //! ```text
 //! record := "VBW1" kind:u8 clock:u64 body
-//! kind 0 (commit op)    := stamp? seq:u64 table key_version:u32 op payload
-//! kind 1 (commit batch) := start_seq:u64 table key_version:u32
-//!                          n_ops:u32 op* n_payloads:u32 payload* stamp?
+//! kind 1 (commit batch) := section stamp?
 //! kind 2 (heartbeat)    := stamp?
 //! kind 3 (commit txn)   := n_sections:u32 section* stamp?
 //! section               := start_seq:u64 table key_version:u32
 //!                          n_ops:u32 op* n_payloads:u32 payload*
 //! ```
+//!
+//! Kinds 1 and 3 are the two envelopes of one [`Commit`]; kind 0 was
+//! the retired single-op record and is not reused (a single-op update
+//! commits as a batch of one).
 //!
 //! `table` is a `u32`-length-prefixed UTF-8 string, `op` is the shared
 //! `VBX3` update-op framing, `payload` is `u32` length + the scheme's
@@ -31,17 +33,17 @@
 //! and bad tags all surface as [`CoreError::Wire`] (fuzzed in
 //! `tests/wire_fuzz.rs`).
 
-use crate::scheme::{AuthScheme, DeltaBatch, SignedDelta, TxnBatch, VbScheme};
+use crate::scheme::{AuthScheme, Commit, DeltaBatch, TxnBatch, VbScheme};
 use crate::tree_codec;
 use crate::verify::FreshnessStamp;
 use crate::wire;
 use crate::CoreError;
 use bytes::{Buf, BufMut};
+use std::sync::Arc;
 use vbx_crypto::accum::SignedDigest;
 
 const MAGIC: &[u8; 4] = b"VBW1";
 
-const KIND_COMMIT_OP: u8 = 0;
 const KIND_COMMIT_BATCH: u8 = 1;
 const KIND_HEARTBEAT: u8 = 2;
 const KIND_COMMIT_TXN: u8 = 3;
@@ -49,7 +51,7 @@ const KIND_COMMIT_TXN: u8 = 3;
 /// A scheme whose store and delta payloads have byte encodings, making
 /// the central recoverable: checkpoints persist `encode_store`, WAL
 /// records persist `encode_delta`, and recovery replays the decoded
-/// payloads through `AuthScheme::apply_delta` to byte-identical state.
+/// payloads through `AuthScheme::apply_delta_batch` to byte-identical state.
 pub trait DurableScheme: AuthScheme {
     /// Serialise a store (tree/table + signed digests) for a checkpoint.
     fn encode_store(&self, store: &Self::Store) -> Vec<u8>;
@@ -131,23 +133,15 @@ pub fn decode_digest_vec<const L: usize>(
 
 /// One decoded WAL record.
 pub enum WalRecord<S: AuthScheme> {
-    /// A single committed op, with the owner clock at commit time and
-    /// the per-commit stamp (present only in cluster/stamping mode).
-    CommitOp {
-        /// Owner logical clock when the op committed.
+    /// One committed unit — a group-committed batch or an atomic
+    /// multi-table txn: **one** record, one fsync, written before any of
+    /// its state is acked. Recovery treats the record all-or-nothing — a
+    /// torn tail rolls back the whole commit, never a table subset.
+    Commit {
+        /// Owner logical clock when the commit landed.
         clock: u64,
-        /// Per-commit freshness stamp, if stamping was enabled.
-        stamp: Option<FreshnessStamp>,
-        /// The signed delta as fanned out to edges.
-        delta: SignedDelta<S::Delta>,
-    },
-    /// A whole group-committed batch (one record, one fsync — the
-    /// durability analogue of the batched signing sweep).
-    CommitBatch {
-        /// Owner logical clock when the batch committed.
-        clock: u64,
-        /// The batch envelope (carries its own optional stamp).
-        batch: DeltaBatch<S::Delta>,
+        /// The commit (carries its own optional stamp).
+        commit: Commit<S::Delta>,
     },
     /// A clock tick + freshness stamp with no data change. Logged so a
     /// restart cannot rewind the clock below a stamp already handed out.
@@ -157,26 +151,13 @@ pub enum WalRecord<S: AuthScheme> {
         /// The signed stamp issued by the tick.
         stamp: FreshnessStamp,
     },
-    /// An atomic multi-table transaction: **one** record carries every
-    /// touched table's packed sweep, fsync'd before *any* table's state
-    /// is acked. Recovery treats the record all-or-nothing — a torn
-    /// tail rolls back the whole txn, never a table subset.
-    CommitTxn {
-        /// Owner logical clock when the txn committed.
-        clock: u64,
-        /// The txn envelope (carries its own optional stamp).
-        txn: TxnBatch<S::Delta>,
-    },
 }
 
 impl<S: AuthScheme> WalRecord<S> {
     /// The owner clock carried by this record.
     pub fn clock(&self) -> u64 {
         match self {
-            WalRecord::CommitOp { clock, .. }
-            | WalRecord::CommitBatch { clock, .. }
-            | WalRecord::Heartbeat { clock, .. }
-            | WalRecord::CommitTxn { clock, .. } => *clock,
+            WalRecord::Commit { clock, .. } | WalRecord::Heartbeat { clock, .. } => *clock,
         }
     }
 }
@@ -219,26 +200,6 @@ fn get_payload<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], CoreError> {
     let payload = &buf[..len];
     buf.advance(len);
     Ok(payload)
-}
-
-/// Encode a single-op commit record.
-pub fn encode_wal_commit_op<S: DurableScheme>(
-    scheme: &S,
-    clock: u64,
-    stamp: Option<&FreshnessStamp>,
-    delta: &SignedDelta<S::Delta>,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
-    out.extend_from_slice(MAGIC);
-    out.push(KIND_COMMIT_OP);
-    out.put_u64(clock);
-    wire::put_stamp(&mut out, stamp);
-    out.put_u64(delta.seq);
-    put_str(&mut out, &delta.table);
-    out.put_u32(delta.key_version);
-    wire::put_update_op(&mut out, &delta.op);
-    put_payload(&mut out, &scheme.encode_delta(&delta.payload));
-    out
 }
 
 /// Encode one batch section (everything in a batch record except the
@@ -300,38 +261,30 @@ fn get_batch_section<S: DurableScheme>(
     })
 }
 
-/// Encode a batch commit record.
-pub fn encode_wal_commit_batch<S: DurableScheme>(
+/// Encode a commit record: **one** record, one fsync, covering every
+/// section's packed sweep plus the stamp attesting the commit's end seq.
+pub fn encode_wal_commit<S: DurableScheme>(
     scheme: &S,
     clock: u64,
-    batch: &DeltaBatch<S::Delta>,
+    commit: &Commit<S::Delta>,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1024);
+    let mut out = Vec::with_capacity(1024 * commit.sections().len().max(1));
     out.extend_from_slice(MAGIC);
-    out.push(KIND_COMMIT_BATCH);
-    out.put_u64(clock);
-    put_batch_section(&mut out, scheme, batch);
-    wire::put_stamp(&mut out, batch.stamp.as_ref());
-    out
-}
-
-/// Encode a multi-table txn commit record: **one** record, one fsync,
-/// covering every touched table's packed sweep plus one freshness
-/// stamp attesting the txn's end seq.
-pub fn encode_wal_commit_txn<S: DurableScheme>(
-    scheme: &S,
-    clock: u64,
-    txn: &TxnBatch<S::Delta>,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1024 * txn.sections.len().max(1));
-    out.extend_from_slice(MAGIC);
-    out.push(KIND_COMMIT_TXN);
-    out.put_u64(clock);
-    out.put_u32(txn.sections.len() as u32);
-    for section in &txn.sections {
+    match commit {
+        Commit::Batch(_) => {
+            out.push(KIND_COMMIT_BATCH);
+            out.put_u64(clock);
+        }
+        Commit::Txn(txn) => {
+            out.push(KIND_COMMIT_TXN);
+            out.put_u64(clock);
+            out.put_u32(txn.sections.len() as u32);
+        }
+    }
+    for section in commit.sections() {
         put_batch_section(&mut out, scheme, section);
     }
-    wire::put_stamp(&mut out, txn.stamp.as_ref());
+    wire::put_stamp(&mut out, commit.stamp());
     out
 }
 
@@ -362,35 +315,11 @@ pub fn decode_wal_record<S: DurableScheme>(
     let kind = buf.get_u8();
     let clock = buf.get_u64();
     let record = match kind {
-        KIND_COMMIT_OP => {
-            let stamp = wire::get_stamp(&mut buf)?;
-            if buf.remaining() < 8 {
-                return Err(corrupt("commit seq truncated"));
-            }
-            let seq = buf.get_u64();
-            let table = get_str(&mut buf)?;
-            if buf.remaining() < 4 {
-                return Err(corrupt("commit key version truncated"));
-            }
-            let key_version = buf.get_u32();
-            let op = wire::get_update_op(&mut buf)?;
-            let payload = scheme.decode_delta(get_payload(&mut buf)?)?;
-            WalRecord::CommitOp {
-                clock,
-                stamp,
-                delta: SignedDelta {
-                    seq,
-                    table,
-                    op,
-                    payload,
-                    key_version,
-                },
-            }
-        }
         KIND_COMMIT_BATCH => {
             let mut batch = get_batch_section(scheme, &mut buf)?;
             batch.stamp = wire::get_stamp(&mut buf)?;
-            WalRecord::CommitBatch { clock, batch }
+            let commit = Commit::Batch(Arc::new(batch));
+            WalRecord::Commit { clock, commit }
         }
         KIND_COMMIT_TXN => {
             if buf.remaining() < 4 {
@@ -406,7 +335,8 @@ pub fn decode_wal_record<S: DurableScheme>(
             if !txn.is_contiguous() {
                 return Err(corrupt("txn sections not contiguous"));
             }
-            WalRecord::CommitTxn { clock, txn }
+            let commit = Commit::Txn(Arc::new(txn));
+            WalRecord::Commit { clock, commit }
         }
         KIND_HEARTBEAT => {
             let stamp = wire::get_stamp(&mut buf)?
@@ -447,12 +377,16 @@ mod tests {
         }
     }
 
+    fn encode_txn(s: &VbScheme<4>, clock: u64, txn: TxnBatch<Vec<SignedDigest<4>>>) -> Vec<u8> {
+        encode_wal_commit(s, clock, &Commit::Txn(Arc::new(txn)))
+    }
+
     fn sample_stamp(signer: &dyn Signer) -> FreshnessStamp {
         FreshnessStamp::sign(signer, 7, 42)
     }
 
     #[test]
-    fn commit_op_roundtrip() {
+    fn commit_batch_roundtrip() {
         let s = scheme();
         let signer = MockSigner::new(7);
         let table = WorkloadSpec::new(20, 2, 8).build();
@@ -463,29 +397,31 @@ mod tests {
             vec![Value::from("new-a"), Value::from(2i64)],
         )
         .unwrap();
-        let op = UpdateOp::Insert(tuple);
-        let payload = s.update(&mut store, &op, &signer).unwrap();
-        let delta = SignedDelta {
-            seq: 9,
+        let ops = vec![UpdateOp::Insert(tuple)];
+        let payloads = s.update_batch(&mut store, &ops, &signer).unwrap();
+        let batch = DeltaBatch {
+            start_seq: 9,
             table: "t".to_string(),
-            op,
-            payload,
+            ops,
+            payloads,
             key_version: 3,
+            stamp: Some(sample_stamp(&signer)),
         };
-        let stamp = sample_stamp(&signer);
-        let bytes = encode_wal_commit_op(&s, 11, Some(&stamp), &delta);
+        let bytes = encode_wal_commit(&s, 11, &Commit::Batch(Arc::new(batch.clone())));
         match decode_wal_record(&s, &bytes).unwrap() {
-            WalRecord::CommitOp {
-                clock,
-                stamp: got_stamp,
-                delta: got,
-            } => {
+            WalRecord::Commit { clock, commit } => {
                 assert_eq!(clock, 11);
-                assert_eq!(got_stamp.unwrap(), stamp);
-                assert_eq!(got.seq, 9);
+                assert_eq!(commit.stamp(), batch.stamp.as_ref());
+                assert_eq!((commit.start_seq(), commit.end_seq()), (9, 10));
+                let [got] = commit.sections() else {
+                    panic!("a batch is one section");
+                };
                 assert_eq!(got.table, "t");
                 assert_eq!(got.key_version, 3);
-                assert_eq!(s.encode_delta(&got.payload), s.encode_delta(&delta.payload));
+                assert_eq!(
+                    s.encode_delta(&got.payloads[0]),
+                    s.encode_delta(&batch.payloads[0])
+                );
             }
             _ => panic!("wrong record kind"),
         }
@@ -543,16 +479,15 @@ mod tests {
             ],
             stamp: Some(sample_stamp(&signer)),
         };
-        let bytes = encode_wal_commit_txn(&s, 13, &txn);
+        let bytes = encode_txn(&s, 13, txn.clone());
         match decode_wal_record(&s, &bytes).unwrap() {
-            WalRecord::CommitTxn { clock, txn: got } => {
+            WalRecord::Commit { clock, commit: got } => {
                 assert_eq!(clock, 13);
-                assert_eq!(got.sections.len(), 2);
+                assert_eq!(got.sections().len(), 2);
                 assert_eq!(got.start_seq(), 5);
                 assert_eq!(got.end_seq(), 7);
-                assert_eq!(got.stamp, txn.stamp);
-                assert_eq!(got.sections[0].table, "a");
-                assert_eq!(got.sections[1].table, "b");
+                assert_eq!(got.stamp(), txn.stamp.as_ref());
+                assert_eq!(got.tables().collect::<Vec<_>>(), ["a", "b"]);
             }
             _ => panic!("wrong record kind"),
         }
@@ -592,7 +527,7 @@ mod tests {
             stamp: None,
         };
         assert!(!txn.is_contiguous());
-        let bytes = encode_wal_commit_txn(&s, 1, &txn);
+        let bytes = encode_txn(&s, 1, txn);
         assert!(decode_wal_record(&s, &bytes).is_err());
     }
 

@@ -12,7 +12,7 @@
 //! flip anywhere in the body — including the kind tag — surfaces as a
 //! checksum error before the payload is ever parsed. Frames carry the
 //! existing envelopes verbatim (`VBX2` responses, `VBX3` batches,
-//! `VBX4` compact VOs, `VBB1` bundles, `VBX6` single-op deltas) plus
+//! `VBX4` compact VOs, `VBB1` bundles, `VBX7` txns) plus
 //! small request/control payloads defined here: range/SQL/compact
 //! queries, subscribe-from-cursor, heartbeat, and errors. The frame
 //! layer authenticates nothing — transport integrity only; all
@@ -146,8 +146,8 @@ pub enum FrameKind {
     CompactResp = 0x21,
     /// A `VBB1` edge bundle, verbatim.
     BundleResp = 0x22,
-    /// A `VBX6` single signed delta, verbatim.
-    DeltaOp = 0x23,
+    // 0x23 carried the retired `VBX6` single-op delta; the tag is
+    // not reused.
     /// A `VBX3` group-commit batch, verbatim.
     DeltaBatch = 0x24,
     /// Advisory: `count` deltas from `start_seq` target other tables.
@@ -186,7 +186,6 @@ impl FrameKind {
             0x20 => Self::QueryResp,
             0x21 => Self::CompactResp,
             0x22 => Self::BundleResp,
-            0x23 => Self::DeltaOp,
             0x24 => Self::DeltaBatch,
             0x25 => Self::SkipRange,
             0x26 => Self::Stamp,
@@ -369,7 +368,7 @@ impl ErrorCode {
 
 /// A decoded `VBX5` message. Envelope-carrying variants keep their
 /// payload as the verbatim inner encoding (`VBX2`/`VBX3`/`VBX4`/
-/// `VBB1`/`VBX6` bytes) so the frame layer stays independent of the
+/// `VBB1`/`VBX7` bytes) so the frame layer stays independent of the
 /// digest width `L`; decode them with the matching `wire`/bundle
 /// decoder.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -437,12 +436,6 @@ pub enum NetMsg {
     /// A `VBB1` edge bundle.
     BundleResp(
         /// Verbatim `VBB1` bytes.
-        Vec<u8>,
-    ),
-    /// One signed delta
-    /// (decode with [`crate::wire::decode_signed_delta`]).
-    DeltaOp(
-        /// Verbatim `VBX6` bytes.
         Vec<u8>,
     ),
     /// A group-commit batch
@@ -562,7 +555,6 @@ impl NetMsg {
             NetMsg::QueryResp(_) => FrameKind::QueryResp,
             NetMsg::CompactResp(_) => FrameKind::CompactResp,
             NetMsg::BundleResp(_) => FrameKind::BundleResp,
-            NetMsg::DeltaOp(_) => FrameKind::DeltaOp,
             NetMsg::DeltaBatch(_) => FrameKind::DeltaBatch,
             NetMsg::DeltaTxn(_) => FrameKind::DeltaTxn,
             NetMsg::SkipRange { .. } => FrameKind::SkipRange,
@@ -609,7 +601,6 @@ impl NetMsg {
             NetMsg::QueryResp(bytes)
             | NetMsg::CompactResp(bytes)
             | NetMsg::BundleResp(bytes)
-            | NetMsg::DeltaOp(bytes)
             | NetMsg::DeltaBatch(bytes)
             | NetMsg::DeltaTxn(bytes)
             | NetMsg::Chunk(bytes) => payload.extend_from_slice(bytes),
@@ -707,7 +698,6 @@ impl NetMsg {
             FrameKind::QueryResp => return Ok(NetMsg::QueryResp(frame.payload.clone())),
             FrameKind::CompactResp => return Ok(NetMsg::CompactResp(frame.payload.clone())),
             FrameKind::BundleResp => return Ok(NetMsg::BundleResp(frame.payload.clone())),
-            FrameKind::DeltaOp => return Ok(NetMsg::DeltaOp(frame.payload.clone())),
             FrameKind::DeltaBatch => return Ok(NetMsg::DeltaBatch(frame.payload.clone())),
             FrameKind::DeltaTxn => return Ok(NetMsg::DeltaTxn(frame.payload.clone())),
             FrameKind::Chunk => return Ok(NetMsg::Chunk(frame.payload.clone())),
@@ -812,7 +802,6 @@ mod tests {
             NetMsg::QueryResp(vec![1, 2, 3]),
             NetMsg::CompactResp(vec![4, 5]),
             NetMsg::BundleResp(vec![6]),
-            NetMsg::DeltaOp(vec![7, 8]),
             NetMsg::DeltaBatch(vec![9]),
             NetMsg::DeltaTxn(vec![0xB7; 12]),
             NetMsg::SkipRange {

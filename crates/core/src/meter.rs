@@ -50,7 +50,7 @@ impl CostMeter {
     /// Total cost in units of `Cost_h1`, with `combine_ratio` =
     /// `Cost_h2 / Cost_h1` and `x` = `Cost_s / Cost_h1` (the paper's `X`
     /// sweep in Figure 12; signing is priced at `sign_ratio`, typically
-    /// `100·x` per the paper's citation of [15]).
+    /// `100·x` per the paper's citation of \[15\]).
     pub fn weighted(&self, combine_ratio: f64, x: f64, sign_ratio: f64) -> f64 {
         self.hash_ops as f64
             + self.combine_ops as f64 * combine_ratio

@@ -38,12 +38,13 @@ use crate::vo::{
 };
 use crate::wire::measure_response;
 use crate::CoreError;
+use std::sync::Arc;
 use vbx_crypto::accum::{Accumulator, SignedDigest};
 use vbx_crypto::{SigVerifier, Signer};
 use vbx_storage::{Schema, Table, Tuple, Value};
 
 /// One update operation, scheme-neutral (shipped inside a
-/// [`SignedDelta`]).
+/// [`DeltaBatch`]).
 #[derive(Clone, Debug)]
 pub enum UpdateOp {
     /// Insert a tuple.
@@ -79,27 +80,10 @@ pub enum TamperMode {
     },
 }
 
-/// A signed update delta: the operation, the scheme-specific
-/// authentication payload replicas replay, and the envelope metadata.
-#[derive(Clone, Debug)]
-pub struct SignedDelta<P> {
-    /// Sequence number (contiguous per central server).
-    pub seq: u64,
-    /// Table the update applies to.
-    pub table: String,
-    /// The operation.
-    pub op: UpdateOp,
-    /// Scheme-specific signed material (e.g. pre-signed digests for the
-    /// VB-tree, the new signed root for a Merkle tree).
-    pub payload: P,
-    /// Key version the payload was signed under.
-    pub key_version: u32,
-}
-
 /// A group-committed batch of update operations: `k` ops travelling
 /// under **one** envelope, with **one** optional owner freshness stamp
-/// attesting the batch's end position — the write-pipeline counterpart
-/// of [`SignedDelta`].
+/// attesting the batch's end position. A single-op update is a batch
+/// of one.
 ///
 /// The ops occupy the contiguous sequence range `[start_seq,
 /// end_seq())`. `payloads` is scheme-defined: the per-op default packs
@@ -215,6 +199,72 @@ impl<P> TxnBatch<P> {
     }
 }
 
+/// One committed unit, as the central logs it, writes it ahead,
+/// replicates it and an edge applies it: a single-table [`DeltaBatch`]
+/// or an atomic multi-table [`TxnBatch`]. The two differ only in the
+/// envelope they travel under (`VBX3` / `VBX7`, WAL kind 1 / 3); every
+/// consumer in between works on [`sections`](Self::sections) and
+/// [`stamp`](Self::stamp). Shared out as `Arc`s, so fanning one commit
+/// out to N subscribers clones a pointer, not `k` ops and payloads.
+#[derive(Clone, Debug)]
+pub enum Commit<P> {
+    /// `k` ops on one table under one payload stream + stamp.
+    Batch(Arc<DeltaBatch<P>>),
+    /// Per-table sections committed, shipped and applied as one unit.
+    Txn(Arc<TxnBatch<P>>),
+}
+
+impl<P> Commit<P> {
+    /// The per-table sections, in commit order (a batch is its own
+    /// single section).
+    pub fn sections(&self) -> &[DeltaBatch<P>] {
+        match self {
+            Commit::Batch(batch) => std::slice::from_ref(batch),
+            Commit::Txn(txn) => &txn.sections,
+        }
+    }
+
+    /// The owner stamp attesting [`end_seq`](Self::end_seq), if the
+    /// commit was stamped.
+    pub fn stamp(&self) -> Option<&FreshnessStamp> {
+        match self {
+            Commit::Batch(batch) => batch.stamp.as_ref(),
+            Commit::Txn(txn) => txn.stamp.as_ref(),
+        }
+    }
+
+    /// First sequence number the commit covers.
+    ///
+    /// # Panics
+    /// Panics on a sectionless commit — commit and decode paths never
+    /// produce one.
+    pub fn start_seq(&self) -> u64 {
+        let first = self.sections().first();
+        first.expect("a commit carries a section").start_seq
+    }
+
+    /// One past the last sequence number the commit covers.
+    ///
+    /// # Panics
+    /// Panics on a sectionless commit, like
+    /// [`start_seq`](Self::start_seq).
+    pub fn end_seq(&self) -> u64 {
+        let last = self.sections().last();
+        last.expect("a commit carries a section").end_seq()
+    }
+
+    /// Number of update ops the commit carries.
+    pub fn ops(&self) -> u64 {
+        self.sections().iter().map(|s| s.ops.len() as u64).sum()
+    }
+
+    /// Every table the commit touches, in commit order (repeats
+    /// possible).
+    pub fn tables(&self) -> impl Iterator<Item = &str> {
+        self.sections().iter().map(|s| s.table.as_str())
+    }
+}
+
 /// Successful scheme verification: the authenticated rows plus the
 /// dominant cost statistic.
 #[derive(Clone, Debug)]
@@ -243,7 +293,7 @@ pub trait AuthScheme {
     type Vo;
     /// Verification and replication failures.
     type Error: std::error::Error + 'static;
-    /// Scheme-specific payload of a [`SignedDelta`].
+    /// Scheme-specific signed payload of a [`DeltaBatch`].
     type Delta: Clone;
 
     /// Trusted: build and sign the store over a table.

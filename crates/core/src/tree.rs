@@ -1108,7 +1108,7 @@ impl<const L: usize> VbTree<L> {
     /// digests bottom-up along the path — the paper's delete transaction
     /// ("the tuples' contribution … cannot be reversed out immediately;
     /// … re-calculate the digests back up to the root"). Nodes are
-    /// removed only when empty, following the paper's citation of [9].
+    /// removed only when empty, following the paper's citation of \[9\].
     pub fn delete_with_source(
         &mut self,
         key: u64,

@@ -12,12 +12,13 @@
 //! `VBX2` response encoding is unchanged and its decoder kept — the two
 //! message types coexist on the wire, distinguished by magic.
 
-use crate::frame::{get_sig, get_str, put_sig, put_str};
-use crate::scheme::{DeltaBatch, SignedDelta, TxnBatch, UpdateOp};
+use crate::frame::{get_sig, get_str, put_sig, put_str, NetMsg};
+use crate::scheme::{Commit, DeltaBatch, TxnBatch, UpdateOp};
 use crate::verify::{FreshnessStamp, ResponseFreshness};
 use crate::vo::{CompactPart, CompactResponse, QueryResponse, ResultRow, VerificationObject, VoOp};
 use crate::CoreError;
 use bytes::{Buf, BufMut};
+use std::sync::Arc;
 use vbx_crypto::accum::{Accumulator, DigestRole, SignedDigest};
 use vbx_crypto::Signature;
 use vbx_storage::{Tuple, Value};
@@ -34,14 +35,11 @@ const BATCH_MAGIC: &[u8; 4] = b"VBX3";
 /// the four magics disambiguate.
 const COMPACT_MAGIC: &[u8; 4] = b"VBX4";
 
-/// Format version 6: a single un-batched [`SignedDelta`] — the per-op
-/// counterpart of `VBX3` for the framed subscription stream. (`VBX5`
-/// is the frame layer itself, in [`crate::frame`].)
-const DELTA_MAGIC: &[u8; 4] = b"VBX6";
-
 /// Format version 7: the atomic multi-table [`TxnBatch`] envelope —
 /// every touched table's `VBX3`-shaped section under **one** magic,
-/// one contiguous seq range, and one trailing freshness stamp.
+/// one contiguous seq range, and one trailing freshness stamp. (`VBX5`
+/// is the frame layer itself, in [`crate::frame`]; `VBX6`, the
+/// single-op delta envelope, is retired and its magic not reused.)
 const TXN_MAGIC: &[u8; 4] = b"VBX7";
 
 /// `VBX4` op tags.
@@ -121,7 +119,7 @@ pub(crate) fn put_stamp(out: &mut Vec<u8>, stamp: Option<&FreshnessStamp>) {
     }
 }
 
-/// Exact bytes [`put_stamp`] emits for the stamp alone (excluding the
+/// Exact bytes `put_stamp` emits for the stamp alone (excluding the
 /// presence tag): `seq + clock + key_version + sig_len + sig`, or 0
 /// when absent.
 pub fn stamp_wire_bytes(stamp: Option<&FreshnessStamp>) -> usize {
@@ -433,62 +431,29 @@ pub fn decode_txn_batch<const L: usize>(
     Ok(txn)
 }
 
-/// Serialize a single [`SignedDelta`] — the `VBX6` envelope one
-/// un-batched update travels under on the subscription stream (batches
-/// use `VBX3`; the two coexist on the wire, distinguished by magic).
-pub fn encode_signed_delta<const L: usize>(delta: &SignedDelta<Vec<SignedDigest<L>>>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
-    out.extend_from_slice(DELTA_MAGIC);
-    out.put_u64(delta.seq);
-    put_str(&mut out, &delta.table);
-    out.put_u32(delta.key_version);
-    put_update_op(&mut out, &delta.op);
-    out.put_u32(delta.payload.len() as u32);
-    for d in &delta.payload {
-        put_digest(&mut out, d);
+/// The replication message a commit travels as — the one place that
+/// picks the envelope: a batch ships as `VBX3` in a `DeltaBatch` frame,
+/// a txn as `VBX7` in a `DeltaTxn` frame.
+pub fn commit_to_msg<const L: usize>(commit: &Commit<Vec<SignedDigest<L>>>) -> NetMsg {
+    match commit {
+        Commit::Batch(batch) => NetMsg::DeltaBatch(encode_delta_batch(batch)),
+        Commit::Txn(txn) => NetMsg::DeltaTxn(encode_txn_batch(txn)),
     }
-    out
 }
 
-/// Decode a `VBX6` single signed delta. Same hostile-input contract as
-/// [`decode_delta_batch`].
-pub fn decode_signed_delta<const L: usize>(
-    bytes: &[u8],
+/// Inverse of [`commit_to_msg`]: decode the commit a replication
+/// message carries. Every other message kind is a wire error.
+pub fn commit_from_msg<const L: usize>(
+    msg: &NetMsg,
     acc: &Accumulator<L>,
-) -> Result<SignedDelta<Vec<SignedDigest<L>>>, CoreError> {
-    let corrupt = |m: &str| CoreError::Wire(m.to_string());
-    let mut buf = bytes;
-    if buf.remaining() < 4 || &buf[..4] != DELTA_MAGIC {
-        return Err(corrupt("bad delta magic"));
-    }
-    buf.advance(4);
-    if buf.remaining() < 8 {
-        return Err(corrupt("delta header truncated"));
-    }
-    let seq = buf.get_u64();
-    let table = get_str(&mut buf, "table name")?;
-    if buf.remaining() < 4 {
-        return Err(corrupt("delta key version truncated"));
-    }
-    let key_version = buf.get_u32();
-    let op = get_update_op(&mut buf)?;
-    if buf.remaining() < 4 {
-        return Err(corrupt("payload digest count truncated"));
-    }
-    let n_digests = buf.get_u32() as usize;
-    let mut payload = Vec::with_capacity(n_digests.min(1 << 20));
-    for _ in 0..n_digests {
-        payload.push(get_digest(&mut buf, acc)?);
-    }
-    if buf.has_remaining() {
-        return Err(corrupt("trailing bytes in delta"));
-    }
-    Ok(SignedDelta {
-        seq,
-        table,
-        op,
-        payload,
-        key_version,
+) -> Result<Commit<Vec<SignedDigest<L>>>, CoreError> {
+    Ok(match msg {
+        NetMsg::DeltaBatch(bytes) => Commit::Batch(Arc::new(decode_delta_batch(bytes, acc)?)),
+        NetMsg::DeltaTxn(bytes) => Commit::Txn(Arc::new(decode_txn_batch(bytes, acc)?)),
+        other => {
+            let kind = other.kind();
+            return Err(CoreError::Wire(format!("{kind:?} carries no commit")));
+        }
     })
 }
 

@@ -4,13 +4,14 @@
 //! must produce errors (or verification failures for semantic fields),
 //! never panics or unbounded allocations.
 
+use std::sync::Arc;
 use vbx_core::{
     check_freshness, decode_compact_response, decode_delta_batch, decode_response,
-    decode_wal_record, encode_compact_response, encode_delta_batch, encode_response,
-    encode_wal_commit_batch, encode_wal_commit_op, encode_wal_heartbeat, execute, execute_compact,
-    AuthScheme, ClientVerifier, CompactPart, CompactResponse, CostMeter, DeltaBatch,
-    FreshnessPolicy, FreshnessStamp, RangeQuery, ResponseFreshness, SignedDelta, UpdateOp,
-    VbScheme, VbTree, VbTreeConfig, VerifyError, VoOp, MAX_VO_STACK,
+    decode_txn_batch, decode_wal_record, encode_compact_response, encode_delta_batch,
+    encode_response, encode_wal_commit, encode_wal_heartbeat, execute, execute_compact, AuthScheme,
+    ClientVerifier, Commit, CompactPart, CompactResponse, CoreError, CostMeter, DeltaBatch,
+    FreshnessPolicy, FreshnessStamp, RangeQuery, ResponseFreshness, TxnBatch, UpdateOp, VbScheme,
+    VbTree, VbTreeConfig, VerifyError, VoOp, MAX_VO_STACK,
 };
 use vbx_crypto::signer::{MockSigner, Signer};
 use vbx_crypto::{rsa, Acc256};
@@ -544,8 +545,9 @@ fn compact_aggregate_sig_flips_are_bad_signatures() {
 
 type WalPayloads = Vec<Vec<u8>>;
 
-/// One honestly encoded WAL record of each kind (single-op commit,
-/// group-committed batch, heartbeat), as the durable central logs them.
+/// One honestly encoded WAL record of each kind (a batch commit — of
+/// one op, as a single-op update logs — a two-section txn commit, and a
+/// heartbeat), as the durable central logs them.
 fn wal_records() -> (Fixture, WalPayloads) {
     let f = fixture(24);
     let scheme = VbScheme::new(f.acc.clone(), f.tree.config().clone());
@@ -564,33 +566,37 @@ fn wal_records() -> (Fixture, WalPayloads) {
         .unwrap()
     };
 
-    let op = UpdateOp::Insert(tuple(700));
-    let payload = scheme.update(&mut tree, &op, &*f.signer).unwrap();
-    let delta = SignedDelta {
-        seq: 4,
-        table: "t".to_string(),
-        op,
-        payload,
-        key_version: f.signer.key_version(),
-    };
-    let stamp = FreshnessStamp::sign(&*f.signer, 5, 11);
-    let commit_op = encode_wal_commit_op(&scheme, 11, Some(&stamp), &delta);
-
-    let ops = vec![UpdateOp::Insert(tuple(701)), UpdateOp::Delete(3)];
-    let payloads = scheme.update_batch(&mut tree, &ops, &*f.signer).unwrap();
-    let batch = DeltaBatch {
-        start_seq: 5,
-        table: "t".to_string(),
+    let key_version = f.signer.key_version();
+    let mut section = |start_seq: u64, table: &str, ops: Vec<UpdateOp>| DeltaBatch {
+        start_seq,
+        table: table.to_string(),
+        payloads: scheme.update_batch(&mut tree, &ops, &*f.signer).unwrap(),
         ops,
-        payloads,
-        key_version: f.signer.key_version(),
-        stamp: Some(FreshnessStamp::sign(&*f.signer, 7, 12)),
+        key_version,
+        stamp: None,
     };
-    let commit_batch = encode_wal_commit_batch(&scheme, 12, &batch);
+    let batch = DeltaBatch {
+        stamp: Some(FreshnessStamp::sign(&*f.signer, 5, 11)),
+        ..section(4, "t", vec![UpdateOp::Insert(tuple(700))])
+    };
+    let commit_batch = encode_wal_commit(&scheme, 11, &Commit::Batch(Arc::new(batch)));
+
+    let txn = TxnBatch {
+        sections: vec![
+            section(
+                5,
+                "t",
+                vec![UpdateOp::Insert(tuple(701)), UpdateOp::Delete(3)],
+            ),
+            section(7, "u", vec![UpdateOp::DeleteRange(8, 10)]),
+        ],
+        stamp: Some(FreshnessStamp::sign(&*f.signer, 8, 12)),
+    };
+    let commit_txn = encode_wal_commit(&scheme, 12, &Commit::Txn(Arc::new(txn)));
 
     let heartbeat = encode_wal_heartbeat(13, &FreshnessStamp::sign(&*f.signer, 7, 13));
 
-    (f, vec![commit_op, commit_batch, heartbeat])
+    (f, vec![commit_batch, commit_txn, heartbeat])
 }
 
 #[test]
@@ -778,7 +784,6 @@ fn frame_zoo() -> Vec<(NetMsg, Vec<u8>)> {
         NetMsg::QueryResp(stamped_bytes(&f, &RangeQuery::select_all(0, 5)).1),
         NetMsg::CompactResp(compact_fixture(&f, &RangeQuery::select_all(0, 5)).1),
         NetMsg::BundleResp(vec![0xAB; 97]),
-        NetMsg::DeltaOp(vec![1, 2, 3]),
         NetMsg::DeltaBatch(batch_fixture().3),
         NetMsg::DeltaTxn(vec![4, 5, 6, 7]),
         NetMsg::SkipRange {
@@ -977,4 +982,35 @@ fn net_msg_rejects_trailing_bytes() {
     // the *envelope* decoder rejects them later.
     let resp = NetMsg::QueryResp(vec![9, 9, 9]);
     assert_eq!(NetMsg::from_frame(&resp.to_frame()).unwrap(), resp);
+}
+
+#[test]
+fn frame_tag_0x23_magic_vbx6_and_wal_kind_0_are_retired() {
+    // The single-op shape is gone from every codec; its tag, magic and
+    // kind are not reused, so bytes an old peer (or an old WAL) might
+    // still carry decode to typed errors, never a panic.
+    let is_wire = |r: Result<(), CoreError>| matches!(r, Err(CoreError::Wire(_)));
+
+    // Frame kind 0x23 (was `DeltaOp`), with a valid length and CRC.
+    let mut frame = NetMsg::DeltaBatch(b"VBX6 payload".to_vec())
+        .to_frame()
+        .encode();
+    frame[FRAME_HEADER_LEN] = 0x23;
+    let crc = vbx_storage::crc32(&frame[FRAME_HEADER_LEN..]);
+    frame[4..8].copy_from_slice(&crc.to_be_bytes());
+    assert!(is_wire(Frame::decode(&frame).map(|_| ())));
+
+    // Magic `VBX6` under either surviving envelope decoder.
+    let (f, _, _, mut envelope) = batch_fixture();
+    envelope[..4].copy_from_slice(b"VBX6");
+    assert!(is_wire(decode_delta_batch(&envelope, &f.acc).map(|_| ())));
+    assert!(is_wire(decode_txn_batch(&envelope, &f.acc).map(|_| ())));
+
+    // WAL record kind 0 (was `CommitOp`): the body of a real record.
+    let (f, records) = wal_records();
+    let scheme = VbScheme::new(f.acc.clone(), f.tree.config().clone());
+    for mut record in records {
+        record[4] = 0;
+        assert!(is_wire(decode_wal_record(&scheme, &record).map(|_| ())));
+    }
 }

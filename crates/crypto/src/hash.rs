@@ -335,19 +335,21 @@ const MD5_S: [u32; 64] = [
 ];
 
 /// RFC 1321 sine-derived constants: `K[i] = floor(|sin(i + 1)| * 2^32)`.
-fn md5_k() -> [u32; 64] {
-    let mut k = [0u32; 64];
-    for (i, ki) in k.iter_mut().enumerate() {
-        *ki = ((i as f64 + 1.0).sin().abs() * 4294967296.0) as u32;
-    }
-    k
-}
+const MD5_K: [u32; 64] = [
+    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501,
+    0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be, 0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821,
+    0xf61e2562, 0xc040b340, 0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
+    0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8, 0x676f02d9, 0x8d2a4c8a,
+    0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c, 0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70,
+    0x289b7ec6, 0xeaa127fa, 0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665,
+    0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92, 0xffeff47d, 0x85845dd1,
+    0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391,
+];
 
 /// Streaming MD5 hasher.
 #[derive(Clone)]
 pub struct Md5 {
     state: [u32; 4],
-    k: [u32; 64],
     buf: [u8; 64],
     buf_len: usize,
     total_len: u64,
@@ -364,7 +366,6 @@ impl Md5 {
     pub fn new() -> Self {
         Self {
             state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476],
-            k: md5_k(),
             buf: [0; 64],
             buf_len: 0,
             total_len: 0,
@@ -427,7 +428,7 @@ impl Md5 {
             let tmp = d;
             d = c;
             c = b;
-            let sum = a.wrapping_add(f).wrapping_add(self.k[i]).wrapping_add(m[g]);
+            let sum = a.wrapping_add(f).wrapping_add(MD5_K[i]).wrapping_add(m[g]);
             b = b.wrapping_add(sum.rotate_left(MD5_S[i]));
             a = tmp;
         }
@@ -450,6 +451,13 @@ mod tests {
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn md5_k_is_the_sine_table() {
+        for (i, k) in MD5_K.iter().enumerate() {
+            assert_eq!(*k, ((i as f64 + 1.0).sin().abs() * 4294967296.0) as u32);
+        }
     }
 
     #[test]

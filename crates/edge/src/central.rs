@@ -3,7 +3,7 @@
 //! Owns the master database, the private signing key, and the
 //! authoritative authenticated stores (VB-trees, Naive digest tables, or
 //! Merkle trees — anything implementing
-//! [`AuthScheme`](vbx_core::scheme::AuthScheme)). Executes update
+//! [`AuthScheme`]). Executes update
 //! transactions under the Section 3.4 locking protocol, records **signed
 //! update deltas** for edge replicas (which cannot sign anything
 //! themselves), refreshes materialised join views, and manages key
@@ -12,9 +12,9 @@
 use crate::locks::{LockManager, LockMode};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use vbx_core::scheme::{AuthScheme, DeltaBatch, SignedDelta, TxnBatch, UpdateOp, VbScheme};
+use vbx_core::scheme::{AuthScheme, Commit, DeltaBatch, TxnBatch, UpdateOp, VbScheme};
 use vbx_core::{CoreError, FreshnessStamp, VbTree, VbTreeConfig};
-use vbx_crypto::accum::{Accumulator, SignedDigest};
+use vbx_crypto::accum::Accumulator;
 use vbx_crypto::{KeyRegistry, Signer};
 use vbx_query::{build_view_table, JoinViewDef};
 use vbx_storage::{Catalog, StorageError, Table, Tuple};
@@ -61,87 +61,20 @@ impl core::fmt::Display for DeltaLogError {
 
 impl std::error::Error for DeltaLogError {}
 
-/// One retained unit of the signed-delta log: a single-op
-/// [`SignedDelta`], a group-committed [`DeltaBatch`] occupying a whole
-/// sequence *range*, or an atomic multi-table [`TxnBatch`]. Batches and
-/// txns are shared out as `Arc`s so fanning one out to N subscribers
-/// clones a pointer, not `k` ops and payloads.
-#[derive(Clone, Debug)]
-pub enum LogEntry<P> {
-    /// One update op under its own signed payload.
-    Op(SignedDelta<P>),
-    /// `k` ops group-committed under one payload stream + stamp.
-    Batch(Arc<DeltaBatch<P>>),
-    /// An atomic multi-table transaction: its sections were committed
-    /// as one unit and travel (and are applied, skipped, or evicted
-    /// downstream) as one unit.
-    Txn(Arc<TxnBatch<P>>),
-}
-
-impl<P> LogEntry<P> {
-    /// First sequence number the entry covers.
-    pub fn start_seq(&self) -> u64 {
-        match self {
-            LogEntry::Op(d) => d.seq,
-            LogEntry::Batch(b) => b.start_seq,
-            LogEntry::Txn(t) => t.start_seq(),
-        }
-    }
-
-    /// One past the last sequence number the entry covers.
-    pub fn end_seq(&self) -> u64 {
-        match self {
-            LogEntry::Op(d) => d.seq + 1,
-            LogEntry::Batch(b) => b.end_seq(),
-            LogEntry::Txn(t) => t.end_seq(),
-        }
-    }
-
-    /// Number of update ops the entry carries.
-    pub fn ops(&self) -> usize {
-        match self {
-            LogEntry::Op(_) => 1,
-            LogEntry::Batch(b) => b.len(),
-            LogEntry::Txn(t) => t.ops() as usize,
-        }
-    }
-
-    /// Table the entry's ops apply to; `None` for a multi-table txn
-    /// (use [`tables`](Self::tables)).
-    pub fn table(&self) -> Option<&str> {
-        match self {
-            LogEntry::Op(d) => Some(&d.table),
-            LogEntry::Batch(b) => Some(&b.table),
-            LogEntry::Txn(_) => None,
-        }
-    }
-
-    /// Every table the entry touches: one for `Op`/`Batch`, each
-    /// section's table (in commit order, repeats possible) for a `Txn`.
-    pub fn tables(&self) -> Box<dyn Iterator<Item = &str> + '_> {
-        match self {
-            LogEntry::Op(d) => Box::new(core::iter::once(d.table.as_str())),
-            LogEntry::Batch(b) => Box::new(core::iter::once(b.table.as_str())),
-            LogEntry::Txn(t) => Box::new(t.tables()),
-        }
-    }
-}
-
 /// The central server's signed-delta log with a **bounded retention
 /// window** and a cursor API.
 ///
-/// Before PR 4, `deltas_since` cloned the full remaining `Vec` on every
-/// poll, making fan-out to N subscribing edges O(edges × history). The
-/// log now retains only the newest `retention` *ops* (older entries are
-/// evicted — a subscriber that far behind re-bundles instead), and
-/// [`since`](Self::since) hands out a borrowing iterator so pollers
-/// clone exactly the entries they still need. Since PR 5 an entry is a
-/// [`LogEntry`] — a single op or a whole group-committed batch — and
-/// cursors work on the underlying *sequence numbers*, so a batch of `k`
-/// ops advances a subscriber's cursor by `k` in one hop.
+/// An entry is one [`Commit`] — a group-committed batch or an atomic
+/// multi-table txn, logged, evicted and handed to subscribers as the
+/// unit it committed as. The log retains only the newest `retention`
+/// *ops* (older entries are evicted — a subscriber that far behind
+/// re-bundles instead), and [`since`](Self::since) hands out a
+/// borrowing iterator so pollers clone exactly the entries they still
+/// need. Cursors work on the underlying *sequence numbers*, so a commit
+/// of `k` ops advances a subscriber's cursor by `k` in one hop.
 #[derive(Clone, Debug)]
 pub struct DeltaLog<P> {
-    entries: VecDeque<LogEntry<P>>,
+    entries: VecDeque<Commit<P>>,
     /// Sequence number of the first retained entry's first op.
     start_seq: u64,
     /// Ops (not entries) currently retained.
@@ -175,7 +108,7 @@ impl<P: Clone> DeltaLog<P> {
         self.start_seq
     }
 
-    /// Number of retained ops (a batch of `k` counts `k`).
+    /// Number of retained ops (a commit of `k` ops counts `k`).
     pub fn len(&self) -> usize {
         self.retained_ops
     }
@@ -185,58 +118,22 @@ impl<P: Clone> DeltaLog<P> {
         self.entries.is_empty()
     }
 
-    /// Append the next single-op delta, evicting past the retention
-    /// window. Rejects any `delta.seq` that is not exactly
-    /// [`next_seq`](Self::next_seq) — the log is the authoritative
-    /// contiguous history, and silently accepting a gap would poison
-    /// every cursor and recovery replay downstream.
-    pub fn push(&mut self, delta: SignedDelta<P>) -> Result<(), DeltaLogError> {
-        if delta.seq != self.next_seq() {
-            return Err(DeltaLogError::NonContiguous {
-                expected: self.next_seq(),
-                got: delta.seq,
-            });
-        }
-        self.push_entry(LogEntry::Op(delta));
-        Ok(())
-    }
-
-    /// Append a group-committed batch covering `[start_seq, end_seq())`,
-    /// evicting past the retention window. Returns the shared handle
-    /// also kept in the log (for immediate fan-out without a re-read).
-    /// Rejects empty batches and any `batch.start_seq` that is not
-    /// exactly [`next_seq`](Self::next_seq).
-    pub fn push_batch(
-        &mut self,
-        batch: DeltaBatch<P>,
-    ) -> Result<Arc<DeltaBatch<P>>, DeltaLogError> {
-        if batch.is_empty() {
-            return Err(DeltaLogError::EmptyBatch);
-        }
-        if batch.start_seq != self.next_seq() {
-            return Err(DeltaLogError::NonContiguous {
-                expected: self.next_seq(),
-                got: batch.start_seq,
-            });
-        }
-        let shared = Arc::new(batch);
-        self.push_entry(LogEntry::Batch(shared.clone()));
-        Ok(shared)
-    }
-
-    /// Append an atomic multi-table transaction covering
-    /// `[txn.start_seq(), txn.end_seq())`, evicting past the retention
-    /// window (a txn is evicted as the single unit it arrived as, like
-    /// every entry). Returns the shared handle also kept in the log.
-    /// Rejects txns with no (or empty) sections, and any section chain
-    /// that does not start exactly at [`next_seq`](Self::next_seq) and
-    /// stay gap-free section to section.
-    pub fn push_txn(&mut self, txn: TxnBatch<P>) -> Result<Arc<TxnBatch<P>>, DeltaLogError> {
-        if txn.sections.is_empty() || txn.sections.iter().any(|s| s.is_empty()) {
+    /// Append the next commit, covering `[start_seq, end_seq())`, and
+    /// evict past the retention window — whole entries only (a commit
+    /// leaves as the unit it arrived as), always keeping the newest even
+    /// if it alone exceeds the window. Rejects commits with no (or
+    /// empty) sections, and any section chain that does not start
+    /// exactly at [`next_seq`](Self::next_seq) and stay gap-free section
+    /// to section — the log is the authoritative contiguous history, and
+    /// silently accepting a gap would poison every cursor and recovery
+    /// replay downstream.
+    pub fn push(&mut self, commit: Commit<P>) -> Result<(), DeltaLogError> {
+        let sections = commit.sections();
+        if sections.is_empty() || sections.iter().any(|s| s.is_empty()) {
             return Err(DeltaLogError::EmptyBatch);
         }
         let mut next = self.next_seq();
-        for section in &txn.sections {
+        for section in sections {
             if section.start_seq != next {
                 return Err(DeltaLogError::NonContiguous {
                     expected: next,
@@ -245,18 +142,23 @@ impl<P: Clone> DeltaLog<P> {
             }
             next = section.end_seq();
         }
-        let shared = Arc::new(txn);
-        self.push_entry(LogEntry::Txn(shared.clone()));
-        Ok(shared)
+        self.retained_ops += commit.ops() as usize;
+        self.entries.push_back(commit);
+        while self.retained_ops > self.retention && self.entries.len() > 1 {
+            let evicted = self.entries.pop_front().expect("len > 1");
+            self.retained_ops -= evicted.ops() as usize;
+            self.start_seq = evicted.end_seq();
+        }
+        Ok(())
     }
 
     /// Rebuild a log from checkpointed parts (durability recovery).
     pub(crate) fn from_parts(
-        entries: VecDeque<LogEntry<P>>,
+        entries: VecDeque<Commit<P>>,
         start_seq: u64,
         retention: usize,
     ) -> Self {
-        let retained_ops = entries.iter().map(LogEntry::ops).sum();
+        let retained_ops = entries.iter().map(|e| e.ops() as usize).sum();
         Self {
             entries,
             start_seq,
@@ -271,35 +173,22 @@ impl<P: Clone> DeltaLog<P> {
     }
 
     /// Every retained entry in seq order (checkpoints persist these).
-    pub fn entries(&self) -> impl Iterator<Item = &LogEntry<P>> {
+    pub fn entries(&self) -> impl Iterator<Item = &Commit<P>> {
         self.entries.iter()
-    }
-
-    fn push_entry(&mut self, entry: LogEntry<P>) {
-        self.retained_ops += entry.ops();
-        self.entries.push_back(entry);
-        // Evict whole entries (a batch leaves as the unit it arrived
-        // as), always keeping the newest entry even if it alone exceeds
-        // the window.
-        while self.retained_ops > self.retention && self.entries.len() > 1 {
-            let evicted = self.entries.pop_front().expect("len > 1");
-            self.retained_ops -= evicted.ops();
-            self.start_seq = evicted.end_seq();
-        }
     }
 
     /// Borrowing iterator over every retained entry covering any `seq >=
     /// cursor`. A cursor at (or past) the head yields an empty
     /// iterator; a cursor before the retention window is an error (the
     /// subscriber must re-bundle). Subscribers advance their cursor to
-    /// each entry's [`end_seq`](LogEntry::end_seq), so a cursor always
-    /// lands on an entry boundary; a cursor *inside* a batch (possible
+    /// each entry's [`end_seq`](Commit::end_seq), so a cursor always
+    /// lands on an entry boundary; a cursor *inside* a commit (possible
     /// only for a subscriber that did not follow that rule) receives the
-    /// whole batch again.
+    /// whole commit again.
     pub fn since(
         &self,
         cursor: u64,
-    ) -> Result<impl Iterator<Item = &LogEntry<P>> + '_, DeltaLogError> {
+    ) -> Result<impl Iterator<Item = &Commit<P>> + '_, DeltaLogError> {
         if cursor < self.start_seq {
             return Err(DeltaLogError::Truncated {
                 requested: cursor,
@@ -313,16 +202,12 @@ impl<P: Clone> DeltaLog<P> {
     }
 
     /// Owned clone of every retained entry covering any `seq >= cursor`
-    /// (clones only the tail the subscriber still needs; batch entries
-    /// clone an `Arc`).
-    pub fn collect_since(&self, cursor: u64) -> Result<Vec<LogEntry<P>>, DeltaLogError> {
+    /// (clones only the tail the subscriber still needs; an entry clones
+    /// an `Arc`).
+    pub fn collect_since(&self, cursor: u64) -> Result<Vec<Commit<P>>, DeltaLogError> {
         Ok(self.since(cursor)?.cloned().collect())
     }
 }
-
-/// A VB-tree update delta, as shipped to edge servers (compatibility
-/// alias for the generic [`SignedDelta`] envelope).
-pub type UpdateDelta<const L: usize> = SignedDelta<Vec<SignedDigest<L>>>;
 
 /// Initial distribution bundle for a new edge server: full replicas of
 /// every tree (base tables and views). VB-tree specific — the wire
@@ -491,45 +376,6 @@ impl Default for GroupCommitConfig {
     }
 }
 
-/// Batches committed by one group-commit flush (shared handles into the
-/// [`DeltaLog`], ready for immediate fan-out or edge replay).
-pub type CommittedBatches<S> = Vec<Arc<DeltaBatch<<S as AuthScheme>::Delta>>>;
-
-/// A group-commit flush that stopped early, carrying everything the
-/// caller must not lose: the batches runs *before* the failure already
-/// committed — they are in the [`DeltaLog`] and must still be applied /
-/// fanned out as usual — plus the failing run's error. Runs not yet
-/// attempted went back into the queue; the failing run's own ops are
-/// dropped with the error, exactly like a failed single-op commit.
-pub struct FlushError<S: AuthScheme> {
-    /// Batches committed by this flush before the failure.
-    pub committed: CommittedBatches<S>,
-    /// The failing run's error.
-    pub error: CentralError<S::Error>,
-}
-
-impl<S: AuthScheme> core::fmt::Debug for FlushError<S> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("FlushError")
-            .field("committed", &self.committed.len())
-            .field("error", &self.error)
-            .finish()
-    }
-}
-
-impl<S: AuthScheme> core::fmt::Display for FlushError<S> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "group-commit flush failed after committing {} batch(es): {}",
-            self.committed.len(),
-            self.error
-        )
-    }
-}
-
-impl<S: AuthScheme> std::error::Error for FlushError<S> {}
-
 /// A staged multi-table update transaction (see
 /// [`CentralServer::begin_txn`]). Ops buffer in arrival order; nothing
 /// locks, signs, logs, or hits the WAL until
@@ -555,69 +401,6 @@ impl Txn {
     /// True when nothing is staged.
     pub fn is_empty(&self) -> bool {
         self.staged.is_empty()
-    }
-}
-
-/// What one group-commit flush committed: per-table batches through the
-/// legacy single-table path, or — when the pending queue spanned more
-/// than one table — a single atomic [`TxnBatch`] through
-/// [`CentralServer::commit_txn`], which cannot partially flush.
-pub enum Flushed<S: AuthScheme> {
-    /// Batches committed by the legacy per-table path (the pending
-    /// queue held at most one table).
-    Batches(CommittedBatches<S>),
-    /// One atomic multi-table transaction covering every pending run.
-    Txn(Arc<TxnBatch<S::Delta>>),
-}
-
-impl<S: AuthScheme> Flushed<S> {
-    /// True when this call committed nothing.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            Flushed::Batches(batches) => batches.is_empty(),
-            Flushed::Txn(txn) => txn.sections.is_empty(),
-        }
-    }
-
-    /// Total update ops committed by this call.
-    pub fn ops(&self) -> u64 {
-        match self {
-            Flushed::Batches(batches) => batches.iter().map(|b| b.len() as u64).sum(),
-            Flushed::Txn(txn) => txn.ops(),
-        }
-    }
-
-    /// The committed per-table batches, when this flush stayed on the
-    /// legacy single-table path.
-    pub fn batches(&self) -> Option<&CommittedBatches<S>> {
-        match self {
-            Flushed::Batches(batches) => Some(batches),
-            Flushed::Txn(_) => None,
-        }
-    }
-
-    /// The committed txn, when this flush rerouted through
-    /// [`CentralServer::commit_txn`].
-    pub fn txn(&self) -> Option<&Arc<TxnBatch<S::Delta>>> {
-        match self {
-            Flushed::Batches(_) => None,
-            Flushed::Txn(txn) => Some(txn),
-        }
-    }
-}
-
-impl<S: AuthScheme> core::fmt::Debug for Flushed<S> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Flushed::Batches(batches) => f
-                .debug_struct("Flushed::Batches")
-                .field("batches", &batches.len())
-                .finish(),
-            Flushed::Txn(txn) => f
-                .debug_struct("Flushed::Txn")
-                .field("sections", &txn.sections.len())
-                .finish(),
-        }
     }
 }
 
@@ -781,10 +564,10 @@ impl<S: AuthScheme> CentralServer<S> {
         &self.registry
     }
 
-    /// Verifier for the *current* signing key. [`rotate_key`]
-    /// (Self::rotate_key) re-signs every store under the new key, so
-    /// this verifier always authenticates the central's live state —
-    /// the anchor a restoring edge checks chunk proofs against.
+    /// Verifier for the *current* signing key.
+    /// [`rotate_key`](Self::rotate_key) re-signs every store under the
+    /// new key, so this verifier always authenticates the central's live
+    /// state — the anchor a restoring edge checks chunk proofs against.
     pub fn verifier(&self) -> Arc<dyn vbx_crypto::SigVerifier> {
         self.signer.verifier()
     }
@@ -869,17 +652,16 @@ impl<S: AuthScheme> CentralServer<S> {
         &self.views
     }
 
-    /// Log entries after `seq` (edge servers pull these to catch up —
-    /// single-op deltas and group-committed batches alike). A `seq`
-    /// beyond the log — a replica ahead of this server, e.g. restored
-    /// from a newer snapshot — yields an empty batch rather than
+    /// Log entries after `seq` (edge servers pull these to catch up).
+    /// A `seq` beyond the log — a replica ahead of this server, e.g.
+    /// restored from a newer snapshot — yields an empty batch rather than
     /// panicking the trusted side on untrusted input. A `seq` before
     /// the retention window yields the retained suffix; the resulting
     /// gap surfaces as `OutOfOrder` at the replica, which must then
     /// re-bundle. Prefer the cursor API on
     /// [`delta_log`](Self::delta_log), which reports truncation
     /// explicitly and clones only the needed tail.
-    pub fn deltas_since(&self, seq: u64) -> Vec<LogEntry<S::Delta>> {
+    pub fn deltas_since(&self, seq: u64) -> Vec<Commit<S::Delta>> {
         self.log
             .collect_since(seq.max(self.log.oldest_seq()))
             .expect("cursor clamped into the retention window")
@@ -924,10 +706,10 @@ impl<S: AuthScheme> CentralServer<S> {
     /// to keep happening — commits any run whose oldest op has waited
     /// past `commit_interval`. A failing flush follows
     /// [`flush_group_commit`](Self::flush_group_commit)'s documented
-    /// semantics (the failing ops are dropped; anything committed is in
-    /// the delta log for the next fan-out; a durability failure poisons
-    /// the engine and resurfaces on the next commit), and the stamp
-    /// signed below attests the *post-flush* position.
+    /// semantics (nothing commits and the pending ops are dropped; a
+    /// durability failure poisons the engine and resurfaces on the next
+    /// commit), and the stamp signed below attests the *post-flush*
+    /// position.
     pub fn heartbeat(&mut self) -> FreshnessStamp
     where
         S::Store: Clone,
@@ -961,112 +743,52 @@ impl<S: AuthScheme> CentralServer<S> {
             self.stamps.pop_first();
         }
     }
+}
 
-    /// Insert a tuple (the paper's insert transaction: X-lock the
-    /// scheme's lock targets, apply, re-sign).
+/// The commit path. Every entry point — a single op, a group-committed
+/// batch, an atomic multi-table txn, a group-commit flush — funnels into
+/// `commit_runs`, the paper's one update transaction (Section 3.4).
+impl<S: AuthScheme> CentralServer<S>
+where
+    S::Store: Clone,
+{
+    /// Insert a tuple: a batch of one (see
+    /// [`execute_update_batch`](Self::execute_update_batch)).
     pub fn insert(
         &mut self,
         table: &str,
         tuple: Tuple,
-    ) -> Result<SignedDelta<S::Delta>, CentralError<S::Error>> {
-        self.apply_op(table, UpdateOp::Insert(tuple))
+    ) -> Result<Arc<DeltaBatch<S::Delta>>, CentralError<S::Error>> {
+        self.execute_update_batch(table, vec![UpdateOp::Insert(tuple)])
     }
 
-    /// Delete a tuple (X-lock the path, recompute digests bottom-up).
+    /// Delete a tuple: a batch of one.
     pub fn delete(
         &mut self,
         table: &str,
         key: u64,
-    ) -> Result<SignedDelta<S::Delta>, CentralError<S::Error>> {
-        self.apply_op(table, UpdateOp::Delete(key))
+    ) -> Result<Arc<DeltaBatch<S::Delta>>, CentralError<S::Error>> {
+        self.execute_update_batch(table, vec![UpdateOp::Delete(key)])
     }
 
-    /// Batch range delete (equation (12)'s transaction).
+    /// Batch range delete (equation (12)'s transaction): a batch of one.
     pub fn delete_range(
         &mut self,
         table: &str,
         lo: u64,
         hi: u64,
-    ) -> Result<SignedDelta<S::Delta>, CentralError<S::Error>> {
-        self.apply_op(table, UpdateOp::DeleteRange(lo, hi))
+    ) -> Result<Arc<DeltaBatch<S::Delta>>, CentralError<S::Error>> {
+        self.execute_update_batch(table, vec![UpdateOp::DeleteRange(lo, hi)])
     }
 
-    /// One update transaction: lock the scheme's targets exclusively,
-    /// apply to the authenticated store and the catalog, release, then
-    /// refresh affected views and log the signed delta.
-    fn apply_op(
-        &mut self,
-        table: &str,
-        op: UpdateOp,
-    ) -> Result<SignedDelta<S::Delta>, CentralError<S::Error>> {
-        let txn = self.next_txn();
-        let targets = {
-            let store = self
-                .stores
-                .get(table)
-                .ok_or_else(|| CentralError::UnknownTable(table.into()))?;
-            self.scheme.lock_targets(store, &op)
-        };
-        let resources: Vec<_> = targets
-            .into_iter()
-            .map(|n| (table.to_string(), n))
-            .collect();
-        self.locks
-            .try_acquire_all(txn, &resources, LockMode::Exclusive)
-            .expect("single-threaded central server cannot conflict with itself");
-
-        let result = (|| {
-            let store = self.stores.get_mut(table).expect("checked above");
-            let payload = self
-                .scheme
-                .update(store, &op, self.signer.as_ref())
-                .map_err(CentralError::Scheme)?;
-            let cat = self.catalog.get_mut(table).expect("catalog mirrors stores");
-            mirror_ops(cat, std::slice::from_ref(&op))?;
-            Ok::<_, CentralError<S::Error>>(payload)
-        })();
-        self.locks.release_all(txn);
-        let payload = result?;
-
-        self.refresh_views_for(table)?;
-        self.clock += 1;
-        let delta = SignedDelta {
-            seq: self.log.next_seq(),
-            table: table.to_string(),
-            op,
-            payload,
-            key_version: self.signer.key_version(),
-        };
-        self.log
-            .push(delta.clone())
-            .expect("commit path issues contiguous seqs");
-        // In cluster mode, attest the new position and prune stamps
-        // that fell out of the retention windows (newest always kept).
-        let stamp = if self.stamp_commits {
-            let attested = self.log.next_seq();
-            let stamp = FreshnessStamp::sign(self.signer.as_ref(), attested, self.clock);
-            self.stamps.insert(attested, stamp.clone());
-            self.prune_stamps();
-            Some(stamp)
-        } else {
-            None
-        };
-        // Append-before-ack: the WAL record (and its fsync) must land
-        // before this commit is returned to the caller.
-        self.durability_commit_op(stamp.as_ref(), &delta)?;
-        Ok(delta)
-    }
-
-    /// One group-commit transaction: X-lock the union of every op's
-    /// lock targets, apply the whole batch to the authenticated store
+    /// One group-commit transaction on one table: `k` ops commit
     /// through [`AuthScheme::update_batch`] (for the VB-tree: one
     /// deferred signing sweep over the dirty nodes instead of per-op
-    /// path re-signs), mirror the ops into the catalog, release,
-    /// refresh affected views **once**, and log one [`DeltaBatch`]
-    /// covering the ops' whole sequence range — with **one** freshness
-    /// stamp attesting the batch's end position (in cluster mode)
-    /// instead of one per op. `k` ops thus cost ~1 signature sweep, ~1
-    /// stamp, and ~1 fan-out message.
+    /// path re-signs) and log as one [`DeltaBatch`] covering the ops'
+    /// whole sequence range — with **one** freshness stamp attesting
+    /// the batch's end position (in cluster mode) instead of one per
+    /// op. `k` ops thus cost ~1 signature sweep, ~1 stamp, ~1 WAL
+    /// record and ~1 fan-out message. All-or-nothing, like every commit.
     ///
     /// An empty `ops` is a no-op: nothing locks, commits, or logs.
     pub fn execute_update_batch(
@@ -1084,69 +806,12 @@ impl<S: AuthScheme> CentralServer<S> {
                 stamp: None,
             }));
         }
-        let txn = self.next_txn();
-        let resources: Vec<_> = {
-            let store = self
-                .stores
-                .get(table)
-                .ok_or_else(|| CentralError::UnknownTable(table.into()))?;
-            let mut targets: Vec<usize> = ops
-                .iter()
-                .flat_map(|op| self.scheme.lock_targets(store, op))
-                .collect();
-            targets.sort_unstable();
-            targets.dedup();
-            targets
-                .into_iter()
-                .map(|n| (table.to_string(), n))
-                .collect()
-        };
-        self.locks
-            .try_acquire_all(txn, &resources, LockMode::Exclusive)
-            .expect("single-threaded central server cannot conflict with itself");
-
-        let result = (|| {
-            let store = self.stores.get_mut(table).expect("checked above");
-            let payloads = self
-                .scheme
-                .update_batch(store, &ops, self.signer.as_ref())
-                .map_err(CentralError::Scheme)?;
-            let cat = self.catalog.get_mut(table).expect("catalog mirrors stores");
-            mirror_ops(cat, &ops)?;
-            Ok::<_, CentralError<S::Error>>(payloads)
-        })();
-        self.locks.release_all(txn);
-        let payloads = result?;
-
-        self.refresh_views_for(table)?;
-        self.clock += 1;
-        let start_seq = self.log.next_seq();
-        let end_seq = start_seq + ops.len() as u64;
-        // One stamp for the whole batch, attesting its end position.
-        let stamp = self.stamp_commits.then(|| {
-            let stamp = FreshnessStamp::sign(self.signer.as_ref(), end_seq, self.clock);
-            self.stamps.insert(end_seq, stamp.clone());
-            stamp
-        });
-        let batch = self
-            .log
-            .push_batch(DeltaBatch {
-                start_seq,
-                table: table.to_string(),
-                ops,
-                payloads,
-                key_version: self.signer.key_version(),
-                stamp,
-            })
-            .expect("commit path issues contiguous seqs");
-        if self.stamp_commits {
-            self.prune_stamps();
-        }
-        // Append-before-ack: one WAL record (and one fsync) covers the
-        // whole batch — the durable analogue of the group-commit
-        // signing sweep.
-        self.durability_commit_batch(&batch)?;
-        Ok(batch)
+        self.commit_runs(vec![(table.to_string(), ops)], |mut sections, stamp| {
+            let mut batch = sections.pop().expect("one run commits as one section");
+            batch.stamp = stamp;
+            let batch = Arc::new(batch);
+            (batch.clone(), Commit::Batch(batch))
+        })
     }
 
     /// Begin staging an atomic multi-table transaction. Stage ops with
@@ -1156,43 +821,25 @@ impl<S: AuthScheme> CentralServer<S> {
         Txn::default()
     }
 
-    /// Commit a staged multi-table transaction **atomically**: X-lock
-    /// the union of every touched table's lock targets, mirror every op
-    /// into the catalog tables under an undo log (surfacing conflicts
-    /// before any store mutates), run every per-table
-    /// [`AuthScheme::update_batch`] signing sweep, then log one
-    /// [`TxnBatch`] and append **one** checksummed `CommitTxn` WAL
-    /// record — fsync'd before *any* table's state is acked.
+    /// Commit a staged multi-table transaction **atomically**:
+    /// consecutive same-table runs become the sections of one
+    /// [`TxnBatch`], chained over one contiguous sequence range in
+    /// arrival order, with one freshness stamp attesting the txn's end
+    /// position (cluster mode) and **one** checksummed WAL record —
+    /// fsync'd before *any* table's state is acked.
     ///
-    /// All-or-nothing: on any failure — an unknown table, a catalog
-    /// conflict, a failing sweep, a WAL append — no store, catalog
-    /// table, log entry, or durable record changes at all. Stores
-    /// already swept when a later run fails are restored from snapshot
-    /// handles taken under the txn's locks, and the catalog by replaying
-    /// its undo log backwards — both O(ops), never a copy of a table.
-    /// (A WAL failure additionally poisons
-    /// the durability engine, exactly like every other commit path.)
-    ///
-    /// Consecutive same-table runs become the txn's sections, chained
-    /// over one contiguous sequence range in arrival order, and one
-    /// freshness stamp attests the txn's end position (cluster mode).
     /// Committing an empty txn is a no-op returning a sectionless
     /// `TxnBatch`.
     pub fn commit_txn(
         &mut self,
         txn: Txn,
-    ) -> Result<Arc<TxnBatch<S::Delta>>, CentralError<S::Error>>
-    where
-        S::Store: Clone,
-    {
+    ) -> Result<Arc<TxnBatch<S::Delta>>, CentralError<S::Error>> {
         if txn.staged.is_empty() {
             return Ok(Arc::new(TxnBatch {
                 sections: Vec::new(),
                 stamp: None,
             }));
         }
-        // Group staged ops into consecutive same-table runs — the
-        // txn's sections, committing in arrival order.
         let mut runs: Vec<(String, Vec<UpdateOp>)> = Vec::new();
         for (table, op) in txn.staged {
             match runs.last_mut() {
@@ -1200,6 +847,45 @@ impl<S: AuthScheme> CentralServer<S> {
                 _ => runs.push((table, vec![op])),
             }
         }
+        self.commit_runs(runs, |sections, stamp| {
+            let txn = Arc::new(TxnBatch { sections, stamp });
+            (txn.clone(), Commit::Txn(txn))
+        })
+    }
+
+    /// The one update transaction every commit runs. `runs` are the
+    /// commit's same-table op runs in commit order (none empty);
+    /// `envelope` wraps the resulting stamp-less sections and the
+    /// commit's stamp into what the caller acks and the [`Commit`] that
+    /// is logged.
+    ///
+    /// X-lock the union of every run's lock targets across all touched
+    /// tables, mirror every op into the catalog tables under an undo
+    /// log (so catalog conflicts — duplicate key, missing key, schema
+    /// mismatch — surface before any store mutates, and as the
+    /// catalog's error), run each run's [`AuthScheme::update_batch`]
+    /// signing sweep, release, refresh affected views once, stamp the
+    /// end position (cluster mode), push the commit to the log, and
+    /// append its WAL record — append-before-ack: the record (and its
+    /// fsync) lands before the commit is returned to the caller.
+    ///
+    /// All-or-nothing: on any failure up to the sweeps — an unknown
+    /// table, a catalog conflict, a failing sweep — no store, catalog
+    /// table, log entry, or durable record changes at all. The catalog
+    /// is restored by replaying its undo log backwards, O(ops). A store
+    /// already swept when a later run fails is restored from a snapshot
+    /// handle taken under the locks; a single run needs none — one
+    /// `update_batch` is atomic by the trait's contract. (A WAL failure
+    /// poisons the durability engine instead: memory may be ahead of
+    /// disk, so the server refuses further commits.)
+    fn commit_runs<R>(
+        &mut self,
+        runs: Vec<(String, Vec<UpdateOp>)>,
+        envelope: impl FnOnce(
+            Vec<DeltaBatch<S::Delta>>,
+            Option<FreshnessStamp>,
+        ) -> (R, Commit<S::Delta>),
+    ) -> Result<R, CentralError<S::Error>> {
         // Validate every table before anything mutates.
         for (table, _) in &runs {
             if !self.stores.contains_key(table) {
@@ -1225,9 +911,8 @@ impl<S: AuthScheme> CentralServer<S> {
 
         let result = (|| {
             // 1. Mirror every op into the live catalog tables, keeping
-            //    each run's undo log: catalog-level conflicts (duplicate
-            //    keys, missing keys) surface here, before any store
-            //    mutates.
+            //    each run's undo log: catalog-level conflicts surface
+            //    here, before any store mutates.
             let mut cat_undo: Vec<(&str, Vec<CatalogUndo>)> = Vec::with_capacity(runs.len());
             for (table, ops) in &runs {
                 let cat = self.catalog.get_mut(table).expect("catalog mirrors stores");
@@ -1239,17 +924,16 @@ impl<S: AuthScheme> CentralServer<S> {
                     }
                 }
             }
-            // 2. Every per-table signing sweep, with undo snapshots so
-            //    a failing run rolls the whole txn back — never a table
-            //    subset.
+            // 2. Every run's signing sweep. With more than one run,
+            //    undo snapshots let a failing run roll the whole commit
+            //    back — never a table subset.
             let mut undo: BTreeMap<String, S::Store> = BTreeMap::new();
             let mut run_payloads: Vec<Vec<S::Delta>> = Vec::with_capacity(runs.len());
             for (table, ops) in &runs {
-                if !undo.contains_key(table) {
-                    let snapshot = self.stores.get(table).expect("validated above").clone();
-                    undo.insert(table.clone(), snapshot);
-                }
                 let store = self.stores.get_mut(table).expect("validated above");
+                if runs.len() > 1 && !undo.contains_key(table) {
+                    undo.insert(table.clone(), store.clone());
+                }
                 match self.scheme.update_batch(store, ops, self.signer.as_ref()) {
                     Ok(payloads) => run_payloads.push(payloads),
                     Err(e) => {
@@ -1266,10 +950,10 @@ impl<S: AuthScheme> CentralServer<S> {
         self.locks.release_all(lock_txn);
         let run_payloads = result?;
 
-        let mut touched: Vec<String> = runs.iter().map(|(t, _)| t.clone()).collect();
+        let mut touched: Vec<&str> = runs.iter().map(|(t, _)| t.as_str()).collect();
         touched.sort_unstable();
         touched.dedup();
-        for table in &touched {
+        for table in touched {
             self.refresh_views_for(table)?;
         }
         self.clock += 1;
@@ -1285,30 +969,26 @@ impl<S: AuthScheme> CentralServer<S> {
                 ops,
                 payloads,
                 key_version,
-                // The txn-level stamp covers the whole envelope; the
+                // The commit-level stamp covers the whole envelope; the
                 // sections carry none of their own.
                 stamp: None,
             });
         }
-        let end_seq = seq;
-        // One stamp for the whole txn, attesting its end position.
+        // One stamp for the whole commit, attesting its end position.
         let stamp = self.stamp_commits.then(|| {
-            let stamp = FreshnessStamp::sign(self.signer.as_ref(), end_seq, self.clock);
-            self.stamps.insert(end_seq, stamp.clone());
+            let stamp = FreshnessStamp::sign(self.signer.as_ref(), seq, self.clock);
+            self.stamps.insert(seq, stamp.clone());
             stamp
         });
-        let committed = self
-            .log
-            .push_txn(TxnBatch { sections, stamp })
+        let (acked, commit) = envelope(sections, stamp);
+        self.log
+            .push(commit.clone())
             .expect("commit path issues contiguous seqs");
         if self.stamp_commits {
             self.prune_stamps();
         }
-        // Append-before-ack: one CommitTxn WAL record (and one fsync)
-        // covers every table's sweep — no table's state is acked before
-        // the whole txn is durable.
-        self.durability_commit_txn(&committed)?;
-        Ok(committed)
+        self.durability_commit(&commit)?;
+        Ok(acked)
     }
 
     /// Enqueue one update into the group-commit queue, committing
@@ -1318,106 +998,56 @@ impl<S: AuthScheme> CentralServer<S> {
     /// `max_batch` are pending or the oldest has waited
     /// `commit_interval` clock ticks. Returns what *this* call
     /// committed (often nothing — the op just joined the queue).
-    ///
-    /// Per-table conflict handling is preserved: a flush groups
-    /// **consecutive same-table runs**, so commit order across tables
-    /// is exactly arrival order and every run takes the Section 3.4
-    /// locks for its own table's ops. A flush whose pending queue spans
-    /// more than one table commits as one atomic
-    /// [`commit_txn`](Self::commit_txn) — see
-    /// [`flush_group_commit`](Self::flush_group_commit).
-    pub fn enqueue_update(&mut self, table: &str, op: UpdateOp) -> Result<Flushed<S>, FlushError<S>>
-    where
-        S::Store: Clone,
-    {
-        let Some(config) = self.group_commit else {
-            return match self.execute_update_batch(table, vec![op]) {
-                Ok(batch) => Ok(Flushed::Batches(vec![batch])),
-                Err(error) => Err(FlushError {
-                    committed: Vec::new(),
-                    error,
-                }),
-            };
-        };
+    pub fn enqueue_update(
+        &mut self,
+        table: &str,
+        op: UpdateOp,
+    ) -> Result<Option<Commit<S::Delta>>, CentralError<S::Error>> {
         if self.pending.is_empty() {
             self.pending_since_clock = self.clock;
         }
         self.pending.push((table.to_string(), op));
-        let due = self.pending.len() >= config.max_batch
-            || self.clock.saturating_sub(self.pending_since_clock) >= config.commit_interval;
+        let due = self.group_commit.is_none_or(|config| {
+            self.pending.len() >= config.max_batch
+                || self.clock.saturating_sub(self.pending_since_clock) >= config.commit_interval
+        });
         if due {
             self.flush_group_commit()
         } else {
-            Ok(Flushed::Batches(Vec::new()))
+            Ok(None)
         }
     }
 
-    /// Commit every pending group-commit op now. Call this to bound
-    /// commit latency when the enqueue-side triggers have not fired.
-    ///
-    /// A pending queue that touches **more than one table** reroutes
-    /// through [`commit_txn`](Self::commit_txn): every consecutive
-    /// same-table run becomes a section of one atomic [`TxnBatch`] —
-    /// one WAL record, one stamp, all-or-nothing. The partial-flush
-    /// surface is gone for grouped runs: on failure *nothing* commits,
-    /// the whole txn's ops are dropped with the error (the atomic
-    /// analogue of dropping a failing run), and
-    /// [`FlushError::committed`] is empty.
-    ///
-    /// A **single-table** queue keeps the legacy per-table path: it
-    /// commits as one [`DeltaBatch`] through
-    /// [`execute_update_batch`](Self::execute_update_batch), and a
-    /// failure drops that run's ops with the error, exactly like a
-    /// failed single-op commit.
-    pub fn flush_group_commit(&mut self) -> Result<Flushed<S>, FlushError<S>>
-    where
-        S::Store: Clone,
-    {
-        let multi_table = self.pending.windows(2).any(|w| w[0].0 != w[1].0);
-        if multi_table {
-            let txn = Txn {
-                staged: std::mem::take(&mut self.pending),
-            };
-            return match self.commit_txn(txn) {
-                Ok(txn) => Ok(Flushed::Txn(txn)),
-                Err(error) => Err(FlushError {
-                    committed: Vec::new(),
-                    error,
-                }),
-            };
-        }
-        let mut runs: Vec<(String, Vec<UpdateOp>)> = Vec::new();
-        for (table, op) in std::mem::take(&mut self.pending) {
-            match runs.last_mut() {
-                Some((t, run)) if *t == table => run.push(op),
-                _ => runs.push((table, vec![op])),
-            }
-        }
-        let mut batches = Vec::new();
-        let mut runs = runs.into_iter();
-        for (table, run) in runs.by_ref() {
-            match self.execute_update_batch(&table, run) {
-                Ok(batch) => batches.push(batch),
-                Err(error) => {
-                    self.pending = runs
-                        .flat_map(|(t, ops)| ops.into_iter().map(move |op| (t.clone(), op)))
-                        .collect();
-                    self.pending_since_clock = self.clock;
-                    return Err(FlushError {
-                        committed: batches,
-                        error,
-                    });
-                }
-            }
-        }
-        Ok(Flushed::Batches(batches))
+    /// Commit every pending group-commit op now, as **one** commit in
+    /// arrival order: a queue on a single table as one [`DeltaBatch`],
+    /// a queue that touches more than one table as one atomic
+    /// [`TxnBatch`] whose sections are the consecutive same-table runs.
+    /// Call this to bound commit latency when the enqueue-side triggers
+    /// have not fired. On failure *nothing* commits and the pending ops
+    /// are dropped with the error, exactly like a failed direct commit.
+    pub fn flush_group_commit(
+        &mut self,
+    ) -> Result<Option<Commit<S::Delta>>, CentralError<S::Error>> {
+        let pending = std::mem::take(&mut self.pending);
+        let Some((table, _)) = pending.first() else {
+            return Ok(None);
+        };
+        Ok(Some(if pending.iter().any(|(t, _)| t != table) {
+            Commit::Txn(self.commit_txn(Txn { staged: pending })?)
+        } else {
+            let table = table.clone();
+            let ops = pending.into_iter().map(|(_, op)| op).collect();
+            Commit::Batch(self.execute_update_batch(&table, ops)?)
+        }))
     }
 
     /// Ops waiting in the group-commit queue.
     pub fn pending_commits(&self) -> usize {
         self.pending.len()
     }
+}
 
+impl<S: AuthScheme> CentralServer<S> {
     /// Rotate the signing key: re-sign every store under the new key and
     /// publish the new version with a validity window starting now
     /// (Section 3.4's defence for delayed propagation).

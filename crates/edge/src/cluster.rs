@@ -31,12 +31,12 @@
 //! [`sync`](ClusterCoordinator::sync)): tests and benchmarks induce a
 //! lagging replica simply by not draining it.
 
-use crate::central::{CentralError, CentralServer, DeltaLogError, LogEntry, Txn};
+use crate::central::{CentralError, CentralServer, DeltaLogError, Txn};
 use crate::edge_server::EdgeServer;
 use crate::service::EdgeError;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use vbx_core::scheme::{AuthScheme, DeltaBatch, SignedDelta, TxnBatch, UpdateOp};
+use vbx_core::scheme::{AuthScheme, Commit, DeltaBatch, TxnBatch, UpdateOp};
 use vbx_core::RangeQuery;
 use vbx_storage::{Table, Tuple};
 
@@ -289,16 +289,14 @@ impl<E> From<vbx_core::SyncError> for ClusterError<E> {
     }
 }
 
-/// One entry of an edge's subscription queue: the signed delta (or the
-/// shared handle of a group-committed batch) for tables the edge owns,
-/// a bare sequence-range placeholder for everything else (so the edge's
-/// position advances without cloning foreign deltas — a foreign batch
-/// of `k` ops is one placeholder, not `k`).
+/// One entry of an edge's subscription queue: the commit's shared
+/// handle when the edge owns any of its tables, a bare sequence-range
+/// placeholder otherwise (so the edge's position advances without
+/// cloning foreign deltas — a foreign commit of `k` ops is one
+/// placeholder, not `k`).
 #[derive(Clone, Debug)]
 enum QueueItem<P> {
-    Apply(SignedDelta<P>),
-    ApplyBatch(Arc<DeltaBatch<P>>),
-    ApplyTxn(Arc<TxnBatch<P>>),
+    Apply(Commit<P>),
     Skip { start_seq: u64, count: u64 },
 }
 
@@ -514,17 +512,15 @@ where
         owner
     }
 
-    /// Insert at the owner; the signed delta is fanned out to the
-    /// subscription queues (not yet applied — see
+    /// Insert at the owner — a batch of one; the commit is fanned out
+    /// to the subscription queues (not yet applied — see
     /// [`drain_edge`](Self::drain_edge)).
     pub fn insert(
         &mut self,
         table: &str,
         tuple: Tuple,
-    ) -> Result<SignedDelta<S::Delta>, ClusterError<S::Error>> {
-        let delta = self.central.insert(table, tuple)?;
-        self.fan_out()?;
-        Ok(delta)
+    ) -> Result<Arc<DeltaBatch<S::Delta>>, ClusterError<S::Error>> {
+        self.update_batch(table, vec![UpdateOp::Insert(tuple)])
     }
 
     /// Delete at the owner and fan out.
@@ -532,10 +528,8 @@ where
         &mut self,
         table: &str,
         key: u64,
-    ) -> Result<SignedDelta<S::Delta>, ClusterError<S::Error>> {
-        let delta = self.central.delete(table, key)?;
-        self.fan_out()?;
-        Ok(delta)
+    ) -> Result<Arc<DeltaBatch<S::Delta>>, ClusterError<S::Error>> {
+        self.update_batch(table, vec![UpdateOp::Delete(key)])
     }
 
     /// Range-delete at the owner and fan out.
@@ -544,10 +538,8 @@ where
         table: &str,
         lo: u64,
         hi: u64,
-    ) -> Result<SignedDelta<S::Delta>, ClusterError<S::Error>> {
-        let delta = self.central.delete_range(table, lo, hi)?;
-        self.fan_out()?;
-        Ok(delta)
+    ) -> Result<Arc<DeltaBatch<S::Delta>>, ClusterError<S::Error>> {
+        self.update_batch(table, vec![UpdateOp::DeleteRange(lo, hi)])
     }
 
     /// Group-commit a whole batch of updates at the owner (one
@@ -567,10 +559,9 @@ where
     }
 
     /// Move every new log entry into the per-edge subscription queues:
-    /// the owning edge's queue gets the signed delta (a group-committed
-    /// batch travels as one shared `Arc` — **one fan-out message for
-    /// `k` ops**), all the others one sequence-range placeholder per
-    /// entry. Returns the number of queue items added.
+    /// an owning edge's queue gets the commit (one shared `Arc` — **one
+    /// fan-out message for `k` ops**), all the others one sequence-range
+    /// placeholder per entry. Returns the number of queue items added.
     ///
     /// Queues are **bounded** by [`ClusterConfig::max_queue`]: an edge
     /// whose queue would overflow is disconnected (buffered items
@@ -611,15 +602,11 @@ where
                 // (applied all-or-none), never a per-table slice.
                 let owned = entry.tables().any(|t| self.shard_map.owner(t) == Some(id));
                 let item = if owned {
-                    match entry {
-                        LogEntry::Op(delta) => QueueItem::Apply(delta.clone()),
-                        LogEntry::Batch(batch) => QueueItem::ApplyBatch(batch.clone()),
-                        LogEntry::Txn(txn) => QueueItem::ApplyTxn(txn.clone()),
-                    }
+                    QueueItem::Apply(entry.clone())
                 } else {
                     QueueItem::Skip {
                         start_seq: entry.start_seq(),
-                        count: entry.ops() as u64,
+                        count: entry.ops(),
                     }
                 };
                 slot.queue.push_back(item);
@@ -653,9 +640,7 @@ where
                 break;
             };
             match item {
-                QueueItem::Apply(delta) => slot.server.apply_delta(&delta)?,
-                QueueItem::ApplyBatch(batch) => slot.server.apply_delta_batch(&batch)?,
-                QueueItem::ApplyTxn(txn) => slot.server.apply_txn(&txn)?,
+                QueueItem::Apply(commit) => slot.server.apply_commit(&commit)?,
                 QueueItem::Skip { start_seq, count } => {
                     slot.server.service().skip_deltas(start_seq, count)?
                 }
@@ -842,7 +827,7 @@ where
 
     /// Commit a staged multi-table transaction at the owner — one union
     /// lock scope, every per-table signing sweep, **one** checksummed
-    /// `CommitTxn` WAL record — and fan the single txn envelope out:
+    /// WAL record — and fan the single txn envelope out:
     /// every edge owning any touched table receives the whole atom (one
     /// shared `Arc`, applied all-or-none), every other edge one range
     /// placeholder. A scatter-gather read across the txn's tables never

@@ -6,10 +6,10 @@
 //! is gone and the edges serve a history no one can extend. This module
 //! makes the central recoverable:
 //!
-//! * **WAL** ([`vbx_storage::wal`]): every committed update appends one
-//!   checksummed record — a whole group-commit batch is *one* record
-//!   and *one* fsync, the durability analogue of the batched signing
-//!   sweep — and the record is synced **before** the commit returns
+//! * **WAL** ([`vbx_storage::wal`]): every commit appends one
+//!   checksummed record — a whole batch or multi-table txn is *one*
+//!   record and *one* fsync, the durability analogue of the batched
+//!   signing sweep — and the record is synced **before** the commit returns
 //!   (append-before-ack). Heartbeats are logged too, so a restart can
 //!   never rewind the logical clock below a freshness stamp already
 //!   handed out.
@@ -23,7 +23,7 @@
 //! * **Recovery** ([`CentralServer::recover`]): load the newest valid
 //!   checkpoint, replay the WAL suffix (records at or past the
 //!   checkpoint's position) through the scheme's deterministic
-//!   `apply_delta` path, and truncate any torn tail — by
+//!   `apply_delta_batch` path, and truncate any torn tail — by
 //!   append-before-ack a torn record was never acked, so dropping it
 //!   loses nothing a caller was promised. Recovered state is
 //!   byte-identical to the never-crashed server's
@@ -34,17 +34,17 @@
 //! Group-commit ops still *queued* (enqueued but not yet flushed into a
 //! batch) are intentionally not WAL-protected: an op is durable exactly
 //! when its commit is acked, and `enqueue_update` acks only the flushed
-//! batches.
+//! commit.
 
-use crate::central::{mirror_ops, CentralError, CentralServer, DeltaLog, LogEntry};
+use crate::central::{mirror_ops, CentralError, CentralServer, DeltaLog};
 use crate::locks::LockManager;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use vbx_core::durable::{decode_stamp, encode_stamp};
-use vbx_core::scheme::{AuthScheme, DeltaBatch, SignedDelta, TxnBatch, UpdateOp};
+use vbx_core::scheme::{AuthScheme, Commit, DeltaBatch};
 use vbx_core::{
-    decode_wal_record, encode_wal_commit_batch, encode_wal_commit_op, encode_wal_commit_txn,
-    encode_wal_heartbeat, CoreError, DurableScheme, FreshnessStamp, WalRecord,
+    decode_wal_record, encode_wal_commit, encode_wal_heartbeat, CoreError, DurableScheme,
+    FreshnessStamp, WalRecord,
 };
 use vbx_crypto::{KeyRegistry, Signer};
 use vbx_query::JoinViewDef;
@@ -57,10 +57,6 @@ use vbx_storage::{
 /// `next_seq` the checkpoint captures, so lexicographic order equals
 /// recovery order.
 const CKPT_PREFIX: &str = "ckpt-";
-
-/// Captured [`vbx_core::encode_wal_commit_op`] for the server's scheme.
-type EncodeOpFn<S> =
-    fn(&S, u64, Option<&FreshnessStamp>, &SignedDelta<<S as AuthScheme>::Delta>) -> Vec<u8>;
 
 /// Knobs of the durability subsystem
 /// ([`CentralServer::with_durability`]).
@@ -108,9 +104,7 @@ pub(crate) struct DurabilityEngine<S: AuthScheme> {
     /// disk, so every later commit fails with this error until the
     /// server is replaced via recovery.
     failed: Option<StorageError>,
-    encode_op: EncodeOpFn<S>,
-    encode_batch: fn(&S, u64, &DeltaBatch<S::Delta>) -> Vec<u8>,
-    encode_txn: fn(&S, u64, &TxnBatch<S::Delta>) -> Vec<u8>,
+    encode_commit: fn(&S, u64, &Commit<S::Delta>) -> Vec<u8>,
     build_image: fn(&CentralServer<S>, usize) -> Vec<u8>,
 }
 
@@ -162,67 +156,22 @@ impl<S: AuthScheme> DurabilityEngine<S> {
 // ---------------------------------------------------------------------
 
 impl<S: AuthScheme> CentralServer<S> {
-    /// WAL-log one committed op (append + fsync) before the commit is
+    /// WAL-log one commit — **one** record, one fsync for its whole
+    /// sequence range and every table it touches — before the commit is
     /// acked. A failure poisons the engine and surfaces as
     /// [`CentralError::Durability`].
-    pub(crate) fn durability_commit_op(
+    pub(crate) fn durability_commit(
         &mut self,
-        stamp: Option<&FreshnessStamp>,
-        delta: &SignedDelta<S::Delta>,
+        commit: &Commit<S::Delta>,
     ) -> Result<(), CentralError<S::Error>> {
         let Some(mut eng) = self.durability.take() else {
             return Ok(());
         };
         let result = (|| {
             eng.check()?;
-            let bytes = (eng.encode_op)(&self.scheme, self.clock, stamp, delta);
+            let bytes = (eng.encode_commit)(&self.scheme, self.clock, commit);
             eng.wal.append_sync(&bytes)?;
-            eng.note_commit(self, 1)
-        })();
-        if let Err(e) = &result {
-            eng.failed = Some(e.clone());
-        }
-        self.durability = Some(eng);
-        result.map_err(CentralError::Durability)
-    }
-
-    /// WAL-log one committed group-commit batch: one record, one fsync
-    /// for the whole sequence range.
-    pub(crate) fn durability_commit_batch(
-        &mut self,
-        batch: &DeltaBatch<S::Delta>,
-    ) -> Result<(), CentralError<S::Error>> {
-        let Some(mut eng) = self.durability.take() else {
-            return Ok(());
-        };
-        let result = (|| {
-            eng.check()?;
-            let bytes = (eng.encode_batch)(&self.scheme, self.clock, batch);
-            eng.wal.append_sync(&bytes)?;
-            eng.note_commit(self, batch.len() as u64)
-        })();
-        if let Err(e) = &result {
-            eng.failed = Some(e.clone());
-        }
-        self.durability = Some(eng);
-        result.map_err(CentralError::Durability)
-    }
-
-    /// WAL-log one committed multi-table transaction: **one** record,
-    /// one fsync for every table's sweep — the all-or-nothing unit
-    /// recovery rolls back as a whole when its append tore.
-    pub(crate) fn durability_commit_txn(
-        &mut self,
-        txn: &TxnBatch<S::Delta>,
-    ) -> Result<(), CentralError<S::Error>> {
-        let Some(mut eng) = self.durability.take() else {
-            return Ok(());
-        };
-        let result = (|| {
-            eng.check()?;
-            let bytes = (eng.encode_txn)(&self.scheme, self.clock, txn);
-            eng.wal.append_sync(&bytes)?;
-            eng.note_commit(self, txn.ops())
+            eng.note_commit(self, commit.ops())
         })();
         if let Err(e) = &result {
             eng.failed = Some(e.clone());
@@ -294,9 +243,7 @@ impl<S: DurableScheme> CentralServer<S> {
             ops_since_checkpoint: 0,
             checkpoint_file: None,
             failed: None,
-            encode_op: encode_wal_commit_op::<S>,
-            encode_batch: encode_wal_commit_batch::<S>,
-            encode_txn: encode_wal_commit_txn::<S>,
+            encode_commit: encode_wal_commit::<S>,
             build_image: checkpoint_image::<S>,
         };
         eng.write_checkpoint(&self)?;
@@ -404,9 +351,7 @@ impl<S: DurableScheme> CentralServer<S> {
             ops_since_checkpoint: replayed,
             checkpoint_file: Some(ckpt_name),
             failed: None,
-            encode_op: encode_wal_commit_op::<S>,
-            encode_batch: encode_wal_commit_batch::<S>,
-            encode_txn: encode_wal_commit_txn::<S>,
+            encode_commit: encode_wal_commit::<S>,
             build_image: checkpoint_image::<S>,
         });
         Ok(server)
@@ -417,82 +362,30 @@ impl<S: DurableScheme> CentralServer<S> {
     fn replay_wal_record(&mut self, bytes: &[u8]) -> Result<u64, CentralError<S::Error>> {
         let record = decode_wal_record(&self.scheme, bytes).map_err(wire_err)?;
         match record {
-            WalRecord::CommitOp {
-                clock,
-                stamp,
-                delta,
-            } => {
+            WalRecord::Commit { clock, commit } => {
                 let next = self.log.next_seq();
-                if delta.seq < next {
+                if commit.end_seq() <= next {
                     return Ok(0); // covered by the checkpoint
                 }
-                if delta.seq > next {
+                if commit.start_seq() != next {
                     return Err(corrupt(format!(
-                        "WAL gap: record at seq {} but log expects {next}",
-                        delta.seq
+                        "WAL gap: commit at seq {} but log expects {next}",
+                        commit.start_seq()
                     )));
                 }
-                self.replay_op(&delta)?;
-                self.log.push(delta).map_err(|e| corrupt(e.to_string()))?;
-                self.clock = self.clock.max(clock);
-                if let Some(stamp) = stamp {
-                    self.stamps.insert(stamp.seq, stamp);
-                    self.prune_stamps();
-                }
-                Ok(1)
-            }
-            WalRecord::CommitBatch { clock, batch } => {
-                let next = self.log.next_seq();
-                if batch.end_seq() <= next {
-                    return Ok(0);
-                }
-                if batch.start_seq != next {
-                    return Err(corrupt(format!(
-                        "WAL gap: batch at seq {} but log expects {next}",
-                        batch.start_seq
-                    )));
-                }
-                self.replay_ops(&batch.table, &batch.ops, &batch.payloads, batch.key_version)?;
-                self.clock = self.clock.max(clock);
-                if let Some(stamp) = &batch.stamp {
-                    self.stamps.insert(stamp.seq, stamp.clone());
-                }
-                let ops = batch.len() as u64;
-                self.log
-                    .push_batch(batch)
-                    .map_err(|e| corrupt(e.to_string()))?;
-                self.prune_stamps();
-                Ok(ops)
-            }
-            WalRecord::CommitTxn { clock, txn } => {
-                let next = self.log.next_seq();
-                if txn.end_seq() <= next {
-                    return Ok(0);
-                }
-                if txn.start_seq() != next {
-                    return Err(corrupt(format!(
-                        "WAL gap: txn at seq {} but log expects {next}",
-                        txn.start_seq()
-                    )));
-                }
-                // All-or-nothing at the record level: a torn CommitTxn
-                // append fails its CRC and lands in the torn tail — the
-                // *whole* txn rolls back, never a table subset. Here the
+                // All-or-nothing at the record level: a torn append
+                // fails its CRC and lands in the torn tail — the *whole*
+                // commit rolls back, never a table subset. Here the
                 // record is intact, so every section replays.
-                for section in &txn.sections {
-                    self.replay_ops(
-                        &section.table,
-                        &section.ops,
-                        &section.payloads,
-                        section.key_version,
-                    )?;
+                for section in commit.sections() {
+                    self.replay_section(section)?;
                 }
                 self.clock = self.clock.max(clock);
-                if let Some(stamp) = &txn.stamp {
+                if let Some(stamp) = commit.stamp() {
                     self.stamps.insert(stamp.seq, stamp.clone());
                 }
-                let ops = txn.ops();
-                self.log.push_txn(txn).map_err(|e| corrupt(e.to_string()))?;
+                let ops = commit.ops();
+                self.log.push(commit).map_err(|e| corrupt(e.to_string()))?;
                 self.prune_stamps();
                 Ok(ops)
             }
@@ -505,51 +398,23 @@ impl<S: DurableScheme> CentralServer<S> {
         }
     }
 
-    /// Replay one single-op commit through the scheme's deterministic
-    /// replica path (`apply_delta` — single-op payloads are a per-site
-    /// digest stream, not the batch sweep format), then mirror the op
-    /// into the catalog and refresh affected views.
-    fn replay_op(&mut self, delta: &SignedDelta<S::Delta>) -> Result<(), CentralError<S::Error>> {
-        let store = self
-            .stores
-            .get_mut(&delta.table)
-            .ok_or_else(|| CentralError::UnknownTable(delta.table.clone()))?;
-        self.scheme
-            .apply_delta(store, &delta.op, &delta.payload, delta.key_version)
-            .map_err(CentralError::Scheme)?;
-        self.mirror_ops(&delta.table.clone(), std::slice::from_ref(&delta.op))
-    }
-
-    /// Replay a group-committed batch through the scheme's deterministic
+    /// Replay one commit section through the scheme's deterministic
     /// replica path (`apply_delta_batch`), mirror its ops into the
     /// catalog, and refresh affected views — the same side effects the
     /// original commit had, minus locking (recovery is single-threaded)
     /// and minus re-signing (payloads carry the original signatures).
-    fn replay_ops(
+    fn replay_section(
         &mut self,
-        table: &str,
-        ops: &[UpdateOp],
-        payloads: &[S::Delta],
-        key_version: u32,
+        section: &DeltaBatch<S::Delta>,
     ) -> Result<(), CentralError<S::Error>> {
-        let store = self
-            .stores
-            .get_mut(table)
-            .ok_or_else(|| CentralError::UnknownTable(table.to_string()))?;
+        let table = section.table.as_str();
+        let unknown = || CentralError::UnknownTable(table.to_string());
+        let store = self.stores.get_mut(table).ok_or_else(unknown)?;
         self.scheme
-            .apply_delta_batch(store, ops, payloads, key_version)
+            .apply_delta_batch(store, &section.ops, &section.payloads, section.key_version)
             .map_err(CentralError::Scheme)?;
-        self.mirror_ops(table, ops)
-    }
-
-    /// Mirror replayed ops into the plain-tuple catalog and rebuild any
-    /// join views over the touched table.
-    fn mirror_ops(&mut self, table: &str, ops: &[UpdateOp]) -> Result<(), CentralError<S::Error>> {
-        let cat = self
-            .catalog
-            .get_mut(table)
-            .ok_or_else(|| CentralError::UnknownTable(table.to_string()))?;
-        mirror_ops(cat, ops)?;
+        let cat = self.catalog.get_mut(table).ok_or_else(unknown)?;
+        mirror_ops(cat, &section.ops)?;
         self.refresh_views_for(table)
     }
 }
@@ -660,12 +525,7 @@ fn checkpoint_image<S: DurableScheme>(central: &CentralServer<S>, page_size: usi
     let mut log = Vec::new();
     put_u32(&mut log, central.log.entries().count() as u32);
     for entry in central.log.entries() {
-        let record = match entry {
-            LogEntry::Op(delta) => encode_wal_commit_op(&central.scheme, 0, None, delta),
-            LogEntry::Batch(batch) => encode_wal_commit_batch(&central.scheme, 0, batch),
-            LogEntry::Txn(txn) => encode_wal_commit_txn(&central.scheme, 0, txn),
-        };
-        put_bytes(&mut log, &record);
+        put_bytes(&mut log, &encode_wal_commit(&central.scheme, 0, entry));
     }
     builder.add("log", &log);
 
@@ -751,11 +611,7 @@ fn restore_from_checkpoint<S: DurableScheme>(
     for _ in 0..n_entries {
         let record = get_bytes(&mut log_buf)?;
         match decode_wal_record(&scheme, record).map_err(wire_err)? {
-            WalRecord::CommitOp { delta, .. } => entries.push_back(LogEntry::Op(delta)),
-            WalRecord::CommitBatch { batch, .. } => {
-                entries.push_back(LogEntry::Batch(Arc::new(batch)))
-            }
-            WalRecord::CommitTxn { txn, .. } => entries.push_back(LogEntry::Txn(Arc::new(txn))),
+            WalRecord::Commit { commit, .. } => entries.push_back(commit),
             WalRecord::Heartbeat { .. } => {
                 return Err(corrupt("heartbeat record in checkpoint log section"))
             }

@@ -16,12 +16,12 @@
 //! produced from a fresh clone — the cache only ever holds honest
 //! responses.
 
-use crate::central::{EdgeBundle, LogEntry};
+use crate::central::EdgeBundle;
 use crate::service::EdgeService;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vbx_core::scheme::{AuthScheme, DeltaBatch, SignedDelta, TxnBatch, VbScheme, VbSchemeError};
+use vbx_core::scheme::{AuthScheme, Commit, DeltaBatch, TxnBatch, VbScheme, VbSchemeError};
 use vbx_core::{
     compact_response_bytes, encode_compact_prefix, encode_compact_response, execute, QueryResponse,
     RangeQuery, VbTree,
@@ -140,16 +140,12 @@ where
         Ok(resp)
     }
 
-    /// Apply one signed update delta, verifying order and (where the
-    /// scheme can) replay consistency. Takes `&self`: a writer thread
-    /// can advance the replicas while readers keep serving snapshots.
-    pub fn apply_delta(&self, delta: &SignedDelta<S::Delta>) -> Result<(), EdgeError<S::Error>> {
-        self.service.apply_delta(delta)
-    }
-
-    /// Apply one group-committed [`DeltaBatch`]: one snapshot clone, `k`
-    /// replays, one swap, one cache invalidation (see
-    /// [`EdgeService::apply_delta_batch`]).
+    /// Apply one group-committed [`DeltaBatch`] (a single-op update is
+    /// a batch of one), verifying order and (where the scheme can)
+    /// replay consistency: one snapshot clone, `k` replays, one swap,
+    /// one cache invalidation (see [`EdgeService::apply_delta_batch`]).
+    /// Takes `&self`: a writer thread can advance the replicas while
+    /// readers keep serving snapshots.
     pub fn apply_delta_batch(
         &self,
         batch: &DeltaBatch<S::Delta>,
@@ -163,10 +159,10 @@ where
         self.service.apply_txn(txn)
     }
 
-    /// Apply one subscription log entry (single-op delta, batch, or
-    /// atomic multi-table txn).
-    pub fn apply_log_entry(&self, entry: &LogEntry<S::Delta>) -> Result<(), EdgeError<S::Error>> {
-        self.service.apply_log_entry(entry)
+    /// Apply one commit from the central's log (see
+    /// [`EdgeService::apply_commit`]).
+    pub fn apply_commit(&self, commit: &Commit<S::Delta>) -> Result<(), EdgeError<S::Error>> {
+        self.service.apply_commit(commit)
     }
 }
 

@@ -54,8 +54,7 @@ pub mod snapshot;
 pub mod sync;
 
 pub use central::{
-    CentralError, CentralServer, CommittedBatches, DeltaLog, DeltaLogError, EdgeBundle, FlushError,
-    Flushed, GroupCommitConfig, LogEntry, Txn, UpdateDelta,
+    CentralError, CentralServer, DeltaLog, DeltaLogError, EdgeBundle, GroupCommitConfig, Txn,
 };
 pub use client::{ClientError, EdgeClient, KeyFreshnessPolicy, SchemeClient, SchemeClientError};
 pub use cluster::{
@@ -76,4 +75,4 @@ pub use vbx_core::{FreshnessPolicy, FreshnessStamp, ResponseFreshness};
 // The scheme layer the deployment is generic over (re-exported so edge
 // users need only this crate).
 pub use vbx_baselines::{MerkleScheme, NaiveScheme};
-pub use vbx_core::scheme::{AuthScheme, DeltaBatch, SignedDelta, TxnBatch, UpdateOp, VbScheme};
+pub use vbx_core::scheme::{AuthScheme, Commit, DeltaBatch, TxnBatch, UpdateOp, VbScheme};

@@ -9,7 +9,7 @@
 //! shared across every connection thread.
 //!
 //! [`EdgeEndpoint`] is the untrusted serving side: range/SQL/compact
-//! queries plus the push-replication path (deltas, batches, skips,
+//! queries plus the push-replication path (batches, txns, skips,
 //! stamps) a central or relay streams into it. [`CentralEndpoint`] is
 //! the trusted side: provisioning bundles, heartbeat stamps, and the
 //! subscribe-from-cursor delta stream with an explicit **bounded
@@ -17,15 +17,12 @@
 //! behind is disconnected with [`ErrorCode::Lagging`] instead of
 //! growing an unbounded queue, and must re-bootstrap from a bundle.
 
-use crate::central::{CentralServer, LogEntry};
+use crate::central::CentralServer;
 use crate::edge_server::EdgeServer;
 use crate::service::EdgeError;
 use std::sync::{Arc, Mutex};
 use vbx_core::scheme::{AuthScheme, VbScheme};
-use vbx_core::{
-    decode_delta_batch, decode_signed_delta, decode_txn_batch, encode_delta_batch, encode_response,
-    encode_signed_delta, encode_txn_batch, ErrorCode, Frame, NetMsg,
-};
+use vbx_core::{commit_from_msg, commit_to_msg, encode_response, ErrorCode, Frame, NetMsg};
 use vbx_crypto::SigVerifier;
 
 /// Hard cap on entries one poll may return, whatever the client asks.
@@ -134,30 +131,9 @@ impl<const L: usize> FrameEndpoint for EdgeEndpoint<L> {
                     Err(e) => edge_err_frame(&e),
                 }
             }
-            NetMsg::DeltaOp(bytes) => {
-                let acc = &self.server.scheme().acc;
-                match decode_signed_delta(&bytes, acc) {
-                    Ok(delta) => match self.server.apply_delta(&delta) {
-                        Ok(()) => vec![self.ack()],
-                        Err(e) => edge_err_frame(&e),
-                    },
-                    Err(e) => err_frame(ErrorCode::BadRequest, format!("{e:?}")),
-                }
-            }
-            NetMsg::DeltaBatch(bytes) => {
-                let acc = &self.server.scheme().acc;
-                match decode_delta_batch(&bytes, acc) {
-                    Ok(batch) => match self.server.apply_delta_batch(&batch) {
-                        Ok(()) => vec![self.ack()],
-                        Err(e) => edge_err_frame(&e),
-                    },
-                    Err(e) => err_frame(ErrorCode::BadRequest, format!("{e:?}")),
-                }
-            }
-            NetMsg::DeltaTxn(bytes) => {
-                let acc = &self.server.scheme().acc;
-                match decode_txn_batch(&bytes, acc) {
-                    Ok(txn) => match self.server.apply_txn(&txn) {
+            msg @ (NetMsg::DeltaBatch(_) | NetMsg::DeltaTxn(_)) => {
+                match commit_from_msg(&msg, &self.server.scheme().acc) {
+                    Ok(commit) => match self.server.apply_commit(&commit) {
                         Ok(()) => vec![self.ack()],
                         Err(e) => edge_err_frame(&e),
                     },
@@ -312,17 +288,7 @@ impl<const L: usize> FrameEndpoint for CentralEndpoint<L> {
                 let mut next = cursor;
                 for entry in entries.into_iter().take(budget) {
                     next = entry.end_seq();
-                    frames.push(match entry {
-                        LogEntry::Op(delta) => {
-                            NetMsg::DeltaOp(encode_signed_delta(&delta)).to_frame()
-                        }
-                        LogEntry::Batch(batch) => {
-                            NetMsg::DeltaBatch(encode_delta_batch(batch.as_ref())).to_frame()
-                        }
-                        LogEntry::Txn(txn) => {
-                            NetMsg::DeltaTxn(encode_txn_batch(txn.as_ref())).to_frame()
-                        }
-                    });
+                    frames.push(commit_to_msg(&entry).to_frame());
                 }
                 state.cursor = Some(next);
                 // A SubAck trailer marks the poll complete and reports

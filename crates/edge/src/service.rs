@@ -16,14 +16,13 @@
 //! [`crate::EdgeServer`] is a thin façade over this type that adds the
 //! VB-tree SQL surface and the test-only tamper modes.
 
-use crate::central::LogEntry;
 use crate::locks::{LockManager, LockMode, LockStats, Resource};
 use crate::snapshot::ServingReplica;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use vbx_core::scheme::{AuthScheme, DeltaBatch, SignedDelta, TxnBatch};
+use vbx_core::scheme::{AuthScheme, Commit, DeltaBatch, TxnBatch};
 use vbx_core::{FreshnessStamp, RangeQuery, ResponseFreshness};
 use vbx_storage::Schema;
 
@@ -391,17 +390,12 @@ impl<S: AuthScheme> EdgeService<S> {
         }
     }
 
-    /// Consume (without applying) one delta for a table this edge does
-    /// not replicate — sharded deployments deliver every table's deltas
-    /// in one global sequence, and an edge must advance past foreign
-    /// tables' entries to keep its position contiguous.
-    pub fn skip_delta(&self, seq: u64) -> Result<(), EdgeError<S::Error>> {
-        self.skip_deltas(seq, 1)
-    }
-
     /// Consume (without applying) a whole foreign sequence range
-    /// `[start_seq, start_seq + count)` — the placeholder for a
-    /// group-committed batch on a table this edge does not replicate.
+    /// `[start_seq, start_seq + count)` — the placeholder for a commit
+    /// on tables this edge does not replicate. Sharded deployments
+    /// deliver every table's deltas in one global sequence, and an edge
+    /// must advance past foreign tables' entries to keep its position
+    /// contiguous.
     pub fn skip_deltas(&self, start_seq: u64, count: u64) -> Result<(), EdgeError<S::Error>> {
         let mut applied = self.applied_seq.lock();
         if start_seq != *applied {
@@ -545,99 +539,18 @@ impl<S: AuthScheme> EdgeService<S> {
         })
     }
 
-    /// Apply one signed update delta: verify order, X-lock the affected
-    /// digests (retrying against in-flight queries), build the successor
-    /// snapshot off to the side, swap, invalidate the table's cache.
-    pub fn apply_delta(&self, delta: &SignedDelta<S::Delta>) -> Result<(), EdgeError<S::Error>>
-    where
-        S::Store: Clone,
-    {
-        let mut seq = self.applied_seq.lock();
-        if delta.seq != *seq {
-            return Err(EdgeError::OutOfOrder {
-                expected: *seq,
-                got: delta.seq,
-            });
-        }
-        let replica = self
-            .replica(&delta.table)
-            .ok_or_else(|| EdgeError::UnknownTable(delta.table.clone()))?;
-        let snap = replica.snapshot();
-        let txn = self.next_txn.fetch_add(1, Ordering::Relaxed);
-        let resources: Vec<Resource> = self
-            .scheme
-            .lock_targets(&snap, &delta.op)
-            .into_iter()
-            .map(|n| (delta.table.clone(), n))
-            .collect();
-        self.acquire_with_retry(txn, &resources, LockMode::Exclusive);
-        let result = replica.update_with(|store| {
-            self.scheme
-                .apply_delta(store, &delta.op, &delta.payload, delta.key_version)
-        });
-        self.locks.release_all(txn);
-        result.map_err(EdgeError::Scheme)?;
-        let floor = replica.published_count();
-        self.cache.invalidate_table(&delta.table, floor);
-        self.compact_cache.invalidate_table(&delta.table, floor);
-        *seq += 1;
-        Ok(())
-    }
-
-    /// Apply one group-committed batch: verify the batch starts at this
-    /// replica's position, X-lock the union of every op's affected
-    /// digests, then pay the per-delta overhead **once** for all `k`
-    /// ops — one snapshot clone, `k` structural replays inside it, one
-    /// swap, one cache invalidation — where the per-op path pays each
-    /// of those `k` times. Installs the batch's owner stamp (if any)
-    /// after the swap, so a reader never sees the new attestation
-    /// paired with the old snapshot.
+    /// Apply one group-committed batch (a single-op update is a batch of
+    /// one): the per-commit overhead is paid **once** for all `k` ops —
+    /// one snapshot clone, `k` structural replays inside it, one swap,
+    /// one cache invalidation. A batch for a table this edge does not
+    /// serve is [`EdgeError::UnknownTable`]. See
+    /// [`apply_txn`](Self::apply_txn) for the all-or-none rules both
+    /// share.
     pub fn apply_delta_batch(&self, batch: &DeltaBatch<S::Delta>) -> Result<(), EdgeError<S::Error>>
     where
         S::Store: Clone,
     {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let mut seq = self.applied_seq.lock();
-        if batch.start_seq != *seq {
-            return Err(EdgeError::OutOfOrder {
-                expected: *seq,
-                got: batch.start_seq,
-            });
-        }
-        let replica = self
-            .replica(&batch.table)
-            .ok_or_else(|| EdgeError::UnknownTable(batch.table.clone()))?;
-        let snap = replica.snapshot();
-        let txn = self.next_txn.fetch_add(1, Ordering::Relaxed);
-        let mut targets: Vec<usize> = batch
-            .ops
-            .iter()
-            .flat_map(|op| self.scheme.lock_targets(&snap, op))
-            .collect();
-        targets.sort_unstable();
-        targets.dedup();
-        let resources: Vec<Resource> = targets
-            .into_iter()
-            .map(|n| (batch.table.clone(), n))
-            .collect();
-        self.acquire_with_retry(txn, &resources, LockMode::Exclusive);
-        let result = replica.update_with(|store| {
-            self.scheme
-                .apply_delta_batch(store, &batch.ops, &batch.payloads, batch.key_version)
-        });
-        self.locks.release_all(txn);
-        result.map_err(EdgeError::Scheme)?;
-        let floor = replica.published_count();
-        self.cache.invalidate_table(&batch.table, floor);
-        self.compact_cache.invalidate_table(&batch.table, floor);
-        *seq += batch.len() as u64;
-        drop(seq);
-        if let Some(stamp) = &batch.stamp {
-            self.set_freshness_stamp(stamp.clone());
-        }
-        Ok(())
+        self.apply_sections(std::slice::from_ref(batch), batch.stamp.as_ref(), false)
     }
 
     /// Apply one atomic multi-table transaction **all-or-none**: verify
@@ -649,7 +562,8 @@ impl<S: AuthScheme> EdgeService<S> {
     /// published and the position does not advance — a reader scanning
     /// two tables of the txn never observes table A at seq n+1 with
     /// table B still at seq n. Installs the txn's owner stamp (if any)
-    /// after the swaps.
+    /// after the swaps, so a reader never sees the new attestation
+    /// paired with an old snapshot.
     ///
     /// A section whose table this edge does not serve is a foreign
     /// placeholder — its ops advance the position without local replay,
@@ -660,31 +574,63 @@ impl<S: AuthScheme> EdgeService<S> {
     where
         S::Store: Clone,
     {
-        if txn.sections.is_empty() {
+        self.apply_sections(&txn.sections, txn.stamp.as_ref(), true)
+    }
+
+    /// Apply one commit as it sits in the central's log, under the
+    /// rules of the envelope it would travel in.
+    pub fn apply_commit(&self, commit: &Commit<S::Delta>) -> Result<(), EdgeError<S::Error>>
+    where
+        S::Store: Clone,
+    {
+        match commit {
+            Commit::Batch(batch) => self.apply_delta_batch(batch),
+            Commit::Txn(txn) => self.apply_txn(txn),
+        }
+    }
+
+    /// The one all-or-none applier behind every commit shape.
+    /// `skip_unserved` picks what a section for a table this edge does
+    /// not serve means: a placeholder (txn) or an error (batch).
+    fn apply_sections(
+        &self,
+        sections: &[DeltaBatch<S::Delta>],
+        stamp: Option<&FreshnessStamp>,
+        skip_unserved: bool,
+    ) -> Result<(), EdgeError<S::Error>>
+    where
+        S::Store: Clone,
+    {
+        let ops: u64 = sections.iter().map(|s| s.ops.len() as u64).sum();
+        if ops == 0 {
             return Ok(());
         }
         let mut seq = self.applied_seq.lock();
-        if txn.start_seq() != *seq {
+        if sections[0].start_seq != *seq {
             return Err(EdgeError::OutOfOrder {
                 expected: *seq,
-                got: txn.start_seq(),
+                got: sections[0].start_seq,
             });
         }
-        // Resolve the served replicas up front; unserved tables replay
-        // as placeholders.
         let mut replicas: BTreeMap<&str, Arc<ServingReplica<S>>> = BTreeMap::new();
-        for section in &txn.sections {
-            if !replicas.contains_key(section.table.as_str()) {
-                if let Some(replica) = self.replica(&section.table) {
-                    replicas.insert(section.table.as_str(), replica);
+        for section in sections {
+            let table = section.table.as_str();
+            if replicas.contains_key(table) {
+                continue;
+            }
+            match self.replica(table) {
+                Some(replica) => {
+                    replicas.insert(table, replica);
                 }
+                None if skip_unserved => {}
+                None => return Err(EdgeError::UnknownTable(table.to_string())),
             }
         }
         let lock_txn = self.next_txn.fetch_add(1, Ordering::Relaxed);
         let mut resources: Vec<Resource> = Vec::new();
         {
             let mut snaps: BTreeMap<&str, Arc<S::Store>> = BTreeMap::new();
-            for section in &txn.sections {
+            for section in sections {
                 let Some(replica) = replicas.get(section.table.as_str()) else {
                     continue;
                 };
@@ -705,7 +651,7 @@ impl<S: AuthScheme> EdgeService<S> {
         // sections chains them on one working copy.
         let result = (|| {
             let mut successors: BTreeMap<&str, S::Store> = BTreeMap::new();
-            for section in &txn.sections {
+            for section in sections {
                 let Some(replica) = replicas.get(section.table.as_str()) else {
                     continue;
                 };
@@ -735,26 +681,12 @@ impl<S: AuthScheme> EdgeService<S> {
             self.compact_cache.invalidate_table(table, floor);
         }
         self.locks.release_all(lock_txn);
-        *seq += txn.ops();
+        *seq += ops;
         drop(seq);
-        if let Some(stamp) = &txn.stamp {
+        if let Some(stamp) = stamp {
             self.set_freshness_stamp(stamp.clone());
         }
         Ok(())
-    }
-
-    /// Apply one subscription log entry — a single-op delta, a
-    /// group-committed batch, or an atomic multi-table txn — through
-    /// the matching replay path.
-    pub fn apply_log_entry(&self, entry: &LogEntry<S::Delta>) -> Result<(), EdgeError<S::Error>>
-    where
-        S::Store: Clone,
-    {
-        match entry {
-            LogEntry::Op(delta) => self.apply_delta(delta),
-            LogEntry::Batch(batch) => self.apply_delta_batch(batch),
-            LogEntry::Txn(txn) => self.apply_txn(txn),
-        }
     }
 }
 
@@ -780,6 +712,29 @@ mod tests {
         let svc = EdgeService::new(scheme);
         svc.install_table("items", table.schema().clone(), tree);
         (svc, signer)
+    }
+
+    /// A real signed one-op batch (delete key 5 of "items"), made by
+    /// updating a master copy of the served store.
+    fn delete_5(
+        svc: &EdgeService<VbScheme<4>>,
+        signer: &MockSigner,
+        start_seq: u64,
+    ) -> DeltaBatch<<VbScheme<4> as AuthScheme>::Delta> {
+        let mut master = (*svc.snapshot("items").unwrap()).clone();
+        let ops = vec![UpdateOp::Delete(5)];
+        let payloads = svc
+            .scheme()
+            .update_batch(&mut master, &ops, signer)
+            .expect("master update");
+        DeltaBatch {
+            start_seq,
+            table: "items".into(),
+            ops,
+            payloads,
+            key_version: signer.key_version(),
+            stamp: None,
+        }
     }
 
     #[test]
@@ -815,21 +770,7 @@ mod tests {
         svc.query_range("other", &q).unwrap();
         assert_eq!(svc.cache.len(), 2);
 
-        // Produce a real signed delta by updating a master copy.
-        let mut master = (*svc.snapshot("items").unwrap()).clone();
-        let op = UpdateOp::Delete(5);
-        let payload = svc
-            .scheme()
-            .update(&mut master, &op, &signer)
-            .expect("master update");
-        let delta = SignedDelta {
-            seq: 0,
-            table: "items".into(),
-            op,
-            payload,
-            key_version: signer.key_version(),
-        };
-        svc.apply_delta(&delta).unwrap();
+        svc.apply_delta_batch(&delete_5(&svc, &signer, 0)).unwrap();
 
         // items' entry dropped, other's survived.
         assert_eq!(svc.cache.len(), 1);
@@ -842,23 +783,32 @@ mod tests {
     #[test]
     fn out_of_order_delta_rejected() {
         let (svc, signer) = service();
-        let mut master = (*svc.snapshot("items").unwrap()).clone();
-        let op = UpdateOp::Delete(5);
-        let payload = svc.scheme().update(&mut master, &op, &signer).unwrap();
-        let delta = SignedDelta {
-            seq: 3,
-            table: "items".into(),
-            op,
-            payload,
-            key_version: signer.key_version(),
-        };
         assert!(matches!(
-            svc.apply_delta(&delta),
+            svc.apply_delta_batch(&delete_5(&svc, &signer, 3)),
             Err(EdgeError::OutOfOrder {
                 expected: 0,
                 got: 3
             })
         ));
+    }
+
+    #[test]
+    fn failed_apply_publishes_nothing() {
+        let (svc, signer) = service();
+        let before = svc.snapshot("items").unwrap();
+        // The payload was signed for deleting key 5, not key 6.
+        let mut forged = delete_5(&svc, &signer, 0);
+        forged.ops = vec![UpdateOp::Delete(6)];
+        assert!(matches!(
+            svc.apply_delta_batch(&forged),
+            Err(EdgeError::Scheme(_))
+        ));
+        assert!(Arc::ptr_eq(&before, &svc.snapshot("items").unwrap()));
+        assert_eq!(svc.replica("items").unwrap().published_count(), 0);
+        assert_eq!(svc.applied_seq(), 0);
+        // The locks were released: the honest batch still applies.
+        svc.apply_delta_batch(&delete_5(&svc, &signer, 0)).unwrap();
+        assert_eq!(svc.applied_seq(), 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! slot and the delta replay detaches only the root-to-leaf path it
 //! touches.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vbx_core::scheme::AuthScheme;
@@ -23,9 +23,6 @@ use vbx_core::scheme::AuthScheme;
 /// One table's swappable snapshot (see module docs).
 pub struct ServingReplica<S: AuthScheme> {
     current: RwLock<Arc<S::Store>>,
-    /// Serialises writers: two concurrent `update_with` calls must not
-    /// both clone the same base snapshot and lose one set of changes.
-    write_gate: Mutex<()>,
     /// Number of snapshots published so far (tests/diagnostics).
     published: AtomicU64,
 }
@@ -35,7 +32,6 @@ impl<S: AuthScheme> ServingReplica<S> {
     pub fn new(store: S::Store) -> Self {
         Self {
             current: RwLock::new(Arc::new(store)),
-            write_gate: Mutex::new(()),
             published: AtomicU64::new(0),
         }
     }
@@ -61,36 +57,14 @@ impl<S: AuthScheme> ServingReplica<S> {
         (guard.clone(), version)
     }
 
-    /// Publish a fully-built replacement store (initial distribution,
-    /// wholesale view refreshes).
+    /// Publish a fully-built replacement store: the successor a commit
+    /// replayed off to the side (`EdgeService` clones the snapshot —
+    /// cheap for COW stores — once per commit, not per op, and holds
+    /// its writer lock from clone to publish), initial distribution, a
+    /// wholesale view refresh.
     pub fn publish(&self, store: S::Store) {
-        let _gate = self.write_gate.lock();
         *self.current.write() = Arc::new(store);
         self.published.fetch_add(1, Ordering::Release);
-    }
-
-    /// Build the successor snapshot off to the side and swap it in:
-    /// clone the current store (cheap for COW stores), apply `mutate`,
-    /// publish on success. On error nothing is published — readers keep
-    /// the old snapshot and the failed successor is dropped.
-    ///
-    /// The clone + swap is paid **per call**, not per op: the
-    /// group-commit path (`EdgeService::apply_delta_batch`) replays a
-    /// whole `DeltaBatch` inside one `mutate`, so `k` ops cost one
-    /// clone and one publish instead of `k` of each.
-    pub fn update_with<E>(
-        &self,
-        mutate: impl FnOnce(&mut S::Store) -> Result<(), E>,
-    ) -> Result<(), E>
-    where
-        S::Store: Clone,
-    {
-        let _gate = self.write_gate.lock();
-        let mut next = (**self.current.read()).clone();
-        mutate(&mut next)?;
-        *self.current.write() = Arc::new(next);
-        self.published.fetch_add(1, Ordering::Release);
-        Ok(())
     }
 
     /// How many snapshots have been published (0 = still the initial
@@ -126,7 +100,9 @@ mod tests {
         let (r, signer) = replica();
         let before = r.snapshot();
         let len_before = before.len();
-        r.update_with(|t| t.delete(3, &signer).map(|_| ())).unwrap();
+        let mut next = (*before).clone();
+        next.delete(3, &signer).unwrap();
+        r.publish(next);
         // The old handle still sees the pre-update tree…
         assert_eq!(before.len(), len_before);
         assert!(before.get(3).is_some());
@@ -135,16 +111,6 @@ mod tests {
         assert_eq!(after.len(), len_before - 1);
         assert!(after.get(3).is_none());
         assert_eq!(r.published_count(), 1);
-    }
-
-    #[test]
-    fn failed_update_publishes_nothing() {
-        let (r, signer) = replica();
-        let before = r.snapshot();
-        let err = r.update_with(|t| t.delete(999_999, &signer).map(|_| ()));
-        assert!(err.is_err());
-        assert!(Arc::ptr_eq(&before, &r.snapshot()));
-        assert_eq!(r.published_count(), 0);
     }
 
     #[test]
@@ -164,7 +130,9 @@ mod tests {
             }
             s.spawn(move || {
                 for k in 0..30u64 {
-                    let _ = r.update_with(|t| t.delete(k, &signer).map(|_| ()));
+                    let mut next = (*r.snapshot()).clone();
+                    next.delete(k, &signer).unwrap();
+                    r.publish(next);
                 }
             });
         });

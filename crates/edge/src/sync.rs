@@ -2,7 +2,7 @@
 //!
 //! A restoring edge never installs state it has not verified. Instead
 //! of trusting a cloned store (or a decoded blob), it pumps the owner's
-//! chunk stream through the scheme's [`StoreRestorer`], which
+//! chunk stream through the scheme's [`StoreRestorer`](vbx_core::StoreRestorer), which
 //! authenticates **every chunk against the signed commitments as it
 //! ingests** — a tampered, reordered, truncated, or stale chunk is
 //! rejected mid-stream, before anything is installed.

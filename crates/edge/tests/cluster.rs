@@ -13,8 +13,8 @@ use vbx_core::{
 use vbx_crypto::signer::{MockSigner, Signer};
 use vbx_crypto::Acc256;
 use vbx_edge::{
-    ClusterConfig, ClusterCoordinator, ClusterError, DeltaLog, KeyFreshnessPolicy, SchemeClient,
-    SignedDelta, UpdateOp,
+    ClusterConfig, ClusterCoordinator, ClusterError, Commit, DeltaBatch, DeltaLog,
+    KeyFreshnessPolicy, SchemeClient, TxnBatch, UpdateOp,
 };
 use vbx_storage::workload::WorkloadSpec;
 use vbx_storage::{Schema, Tuple, Value};
@@ -370,14 +370,8 @@ fn tamper_matrix_holds_through_the_coordinator() {
 // DeltaLog: bounded retention + cursors
 // ---------------------------------------------------------------------
 
-fn unit_delta(seq: u64) -> SignedDelta<()> {
-    SignedDelta {
-        seq,
-        table: "t".into(),
-        op: UpdateOp::Delete(seq),
-        payload: (),
-        key_version: 1,
-    }
+fn unit_delta(seq: u64) -> Commit<()> {
+    unit_batch(seq, 1)
 }
 
 #[test]
@@ -413,8 +407,8 @@ fn delta_log_retention_evicts_and_reports_truncation() {
 #[test]
 fn delta_log_rejects_gaps() {
     // Non-contiguous appends are a structured error, not a panic: the
-    // recovery path replays WAL records through `push`/`push_batch` and
-    // must surface a gap as corruption instead of aborting the process.
+    // recovery path replays WAL records through `push` and must surface
+    // a gap as corruption instead of aborting the process.
     let mut log: DeltaLog<()> = DeltaLog::new(8);
     log.push(unit_delta(0)).unwrap();
     assert_eq!(
@@ -426,24 +420,44 @@ fn delta_log_rejects_gaps() {
     );
     // A rejected push leaves the log untouched…
     assert_eq!(log.next_seq(), 1);
-    // …and the same holds for batches: gaps and empties are rejected.
+    // …and the same holds for multi-op batches and for txns, between
+    // sections too: gaps and empties are rejected.
     assert!(matches!(
-        log.push_batch(unit_batch(5, 2)),
+        log.push(unit_batch(5, 2)),
         Err(vbx_edge::DeltaLogError::NonContiguous {
             expected: 1,
             got: 5
         })
     ));
     assert!(matches!(
-        log.push_batch(unit_batch(1, 0)),
+        log.push(unit_batch(1, 0)),
+        Err(vbx_edge::DeltaLogError::EmptyBatch)
+    ));
+    let txn = |sections: Vec<DeltaBatch<()>>| {
+        let stamp = None;
+        Commit::Txn(Arc::new(TxnBatch { sections, stamp }))
+    };
+    assert!(matches!(
+        log.push(txn(vec![unit_section(1, 2), unit_section(4, 1)])),
+        Err(vbx_edge::DeltaLogError::NonContiguous {
+            expected: 3,
+            got: 4
+        })
+    ));
+    assert!(matches!(
+        log.push(txn(vec![unit_section(1, 2), unit_section(3, 0)])),
+        Err(vbx_edge::DeltaLogError::EmptyBatch)
+    ));
+    assert!(matches!(
+        log.push(txn(Vec::new())),
         Err(vbx_edge::DeltaLogError::EmptyBatch)
     ));
     log.push(unit_delta(1)).unwrap();
     assert_eq!(log.next_seq(), 2);
 }
 
-fn unit_batch(start_seq: u64, k: u64) -> vbx_edge::DeltaBatch<()> {
-    vbx_edge::DeltaBatch {
+fn unit_section(start_seq: u64, k: u64) -> DeltaBatch<()> {
+    DeltaBatch {
         start_seq,
         table: "t".into(),
         ops: (start_seq..start_seq + k).map(UpdateOp::Delete).collect(),
@@ -453,13 +467,17 @@ fn unit_batch(start_seq: u64, k: u64) -> vbx_edge::DeltaBatch<()> {
     }
 }
 
+fn unit_batch(start_seq: u64, k: u64) -> Commit<()> {
+    Commit::Batch(Arc::new(unit_section(start_seq, k)))
+}
+
 #[test]
 fn delta_log_batches_occupy_ranges_and_evict_as_units() {
     // Retention counts ops: a 3-op batch + 2 singles = 5 ops in a
     // window of 4 evicts the whole batch (entries leave as the unit
     // they arrived as).
     let mut log: DeltaLog<()> = DeltaLog::new(4);
-    log.push_batch(unit_batch(0, 3)).unwrap();
+    log.push(unit_batch(0, 3)).unwrap();
     log.push(unit_delta(3)).unwrap();
     log.push(unit_delta(4)).unwrap();
     assert_eq!(log.len(), 2);
@@ -467,7 +485,7 @@ fn delta_log_batches_occupy_ranges_and_evict_as_units() {
     assert_eq!(log.next_seq(), 5);
 
     // Cursors on batch boundaries: a batch spans [5, 9).
-    log.push_batch(unit_batch(5, 4)).unwrap();
+    log.push(unit_batch(5, 4)).unwrap();
     assert_eq!(log.next_seq(), 9);
     let tail = log.collect_since(5).unwrap();
     assert_eq!(tail.len(), 1);
@@ -484,7 +502,7 @@ fn delta_log_batches_occupy_ranges_and_evict_as_units() {
     // The newest entry is always kept, even when it alone exceeds the
     // retention window.
     let mut log: DeltaLog<()> = DeltaLog::new(2);
-    log.push_batch(unit_batch(0, 5)).unwrap();
+    log.push(unit_batch(0, 5)).unwrap();
     assert_eq!(log.len(), 5);
     assert_eq!(log.next_seq(), 5);
     log.push(unit_delta(5)).unwrap();

@@ -16,8 +16,8 @@ use vbx_core::{
 use vbx_crypto::signer::MockSigner;
 use vbx_crypto::Acc256;
 use vbx_edge::{
-    CentralServer, ClusterConfig, ClusterCoordinator, EdgeServer, GroupCommitConfig,
-    KeyFreshnessPolicy, SchemeClient, SchemeClientError, UpdateOp,
+    CentralServer, ClusterConfig, ClusterCoordinator, Commit, DeltaBatch, EdgeServer,
+    GroupCommitConfig, KeyFreshnessPolicy, SchemeClient, SchemeClientError, TxnBatch, UpdateOp,
 };
 use vbx_storage::workload::WorkloadSpec;
 use vbx_storage::{Schema, Table, Tuple, Value};
@@ -33,6 +33,24 @@ fn fresh_tuple(schema: &Schema, key: u64) -> Tuple {
         ],
     )
     .expect("schema-conformant tuple")
+}
+
+/// What a flush committed, which must be a single-table batch.
+fn flushed_batch<P>(flushed: Option<Commit<P>>) -> Arc<DeltaBatch<P>> {
+    match flushed {
+        Some(Commit::Batch(batch)) => batch,
+        Some(Commit::Txn(_)) => panic!("a single-table flush commits a plain batch"),
+        None => panic!("the flush must commit"),
+    }
+}
+
+/// What a flush committed, which must be a multi-table txn.
+fn flushed_txn<P>(flushed: Option<Commit<P>>) -> Arc<TxnBatch<P>> {
+    match flushed {
+        Some(Commit::Txn(txn)) => txn,
+        Some(Commit::Batch(_)) => panic!("a multi-table flush commits one atomic txn"),
+        None => panic!("the flush must commit"),
+    }
 }
 
 fn items_table(rows: u64) -> Table {
@@ -65,7 +83,7 @@ fn batched_commit_applies_at_the_edge_identically_to_per_op() {
     let schema = table.schema().clone();
     let ops = mixed_ops(&schema, 9);
 
-    // Per-op reference pipeline.
+    // Per-op reference pipeline: every op a commit (a batch of one).
     let mut per_op = CentralServer::new(acc.clone(), signer.clone(), VbTreeConfig::with_fanout(6));
     per_op.create_table(table.clone());
     let per_op_edge = EdgeServer::from_bundle(per_op.bundle());
@@ -76,7 +94,9 @@ fn batched_commit_applies_at_the_edge_identically_to_per_op() {
             UpdateOp::DeleteRange(lo, hi) => per_op.delete_range("items", lo, hi),
         }
         .expect("per-op commit");
-        per_op_edge.apply_delta(&delta).expect("per-op replay");
+        per_op_edge
+            .apply_delta_batch(&delta)
+            .expect("per-op replay");
     }
 
     // Group-commit pipeline: one batch, one edge apply.
@@ -227,11 +247,12 @@ fn failed_baseline_batch_restores_store_and_catalog() {
     central.create_table(table);
     let len_before = central.store("n").unwrap().len();
 
-    // Delete(3) applies, then Delete(999_999) fails.
+    // Delete(3) applies, then Delete(999_999) fails — in the catalog
+    // mirror, which runs first and reports on every entry point.
     let err = central
         .execute_update_batch("n", vec![UpdateOp::Delete(3), UpdateOp::Delete(999_999)])
         .unwrap_err();
-    assert!(matches!(err, vbx_edge::CentralError::Scheme(_)));
+    assert!(matches!(err, vbx_edge::CentralError::Storage(_)));
     assert_eq!(
         central.store("n").unwrap().len(),
         len_before,
@@ -265,7 +286,7 @@ fn group_commit_queue_coalesces_to_max_batch() {
         let flushed = central
             .enqueue_update("items", UpdateOp::Insert(fresh_tuple(&schema, 700 + i)))
             .unwrap();
-        assert!(flushed.is_empty(), "below max_batch nothing may commit");
+        assert!(flushed.is_none(), "below max_batch nothing may commit");
     }
     assert_eq!(central.pending_commits(), 3);
     assert_eq!(central.delta_log().next_seq(), 0);
@@ -274,12 +295,8 @@ fn group_commit_queue_coalesces_to_max_batch() {
     let flushed = central
         .enqueue_update("items", UpdateOp::Delete(7))
         .unwrap();
-    let batches = flushed
-        .batches()
-        .expect("a single-table flush commits plain batches");
-    assert_eq!(batches.len(), 1);
-    assert_eq!(batches[0].len(), 4);
-    let batch = batches[0].clone();
+    let batch = flushed_batch(flushed);
+    assert_eq!(batch.len(), 4);
     assert_eq!(central.pending_commits(), 0);
     assert_eq!(central.delta_log().next_seq(), 4);
     edge.apply_delta_batch(&batch).unwrap();
@@ -324,10 +341,7 @@ fn group_commit_flush_groups_multi_table_runs_into_one_txn() {
     central
         .enqueue_update("items", UpdateOp::Delete(5))
         .unwrap();
-    let flushed = central.flush_group_commit().unwrap();
-    let txn = flushed
-        .txn()
-        .expect("a multi-table flush commits one atomic txn");
+    let txn = flushed_txn(central.flush_group_commit().unwrap());
     assert_eq!(
         txn.sections
             .iter()
@@ -411,13 +425,8 @@ fn failed_multi_table_flush_drops_the_whole_txn() {
         .enqueue_update("items", UpdateOp::Delete(7))
         .unwrap();
     let err = central.flush_group_commit().unwrap_err();
-    assert!(
-        err.committed.is_empty(),
-        "a grouped flush commits all-or-nothing, got {} stray batches",
-        err.committed.len()
-    );
     assert!(matches!(
-        err.error,
+        err,
         vbx_edge::CentralError::UnknownTable(ref t) if t == "ghost"
     ));
     assert_eq!(central.delta_log().next_seq(), 0, "nothing may be logged");
@@ -432,10 +441,8 @@ fn failed_multi_table_flush_drops_the_whole_txn() {
     central
         .enqueue_update("items", UpdateOp::Delete(7))
         .unwrap();
-    let retried = central.flush_group_commit().unwrap();
-    let batches = retried.batches().expect("single-table flush");
-    assert_eq!(batches.len(), 1);
-    edge.apply_delta_batch(&batches[0]).unwrap();
+    let retried = flushed_batch(central.flush_group_commit().unwrap());
+    edge.apply_delta_batch(&retried).unwrap();
     assert!(edge.tree("items").unwrap().get(7).is_none());
     assert!(
         edge.tree("items").unwrap().get(840).is_none(),
@@ -454,9 +461,7 @@ fn enqueue_without_group_commit_commits_immediately() {
     let flushed = central
         .enqueue_update("items", UpdateOp::Insert(fresh_tuple(&schema, 830)))
         .unwrap();
-    let batches = flushed.batches().expect("immediate commit");
-    assert_eq!(batches.len(), 1);
-    assert_eq!(batches[0].len(), 1);
+    assert_eq!(flushed_batch(flushed).len(), 1);
     assert_eq!(central.delta_log().next_seq(), 1);
 }
 

@@ -69,7 +69,7 @@ enum Step {
     Heartbeat,
     /// Atomic multi-table txn: each `(table_sel, key)` stages an insert
     /// on `t0` (sel 0) or `t1` (sel 1); the whole list commits as ONE
-    /// `CommitTxn` WAL record.
+    /// txn WAL record.
     Txn(Vec<(u8, u64)>),
 }
 
@@ -164,7 +164,7 @@ fn matrix_points() -> Vec<FailPoint> {
             file: "wal".into(),
             keep: 20,
         },
-        // Deep into a `CommitTxn` record's payload — between per-table
+        // Deep into a txn record's payload — between per-table
         // sections of the txn, proving a torn multi-table append never
         // recovers a table subset.
         FailPoint::TornAppend {
@@ -305,7 +305,7 @@ where
     S::Store: Clone,
 {
     // Arm points cover plain ops (0, 3, 7) and both txn steps (9, 12),
-    // so every fault fires at least once inside a `CommitTxn` append.
+    // so every fault fires at least once inside a txn record's append.
     for point in &matrix_points() {
         for arm_at in [0, 3, 7, 9, 12] {
             run_case(scheme.clone(), label, arm_at, point);
@@ -491,7 +491,7 @@ fn cluster_resubscribes_without_gaps_or_duplicates() {
 #[test]
 fn torn_commit_txn_never_recovers_a_table_subset() {
     // Direct all-or-nothing proof: a txn touching t0 AND t1 whose
-    // single `CommitTxn` append tears at any offset — before, inside
+    // single WAL append tears at any offset — before, inside
     // the checksum, inside section one, between sections, or at the
     // very end — recovers either with BOTH tables advanced or with
     // NEITHER. A recovered image holding the t0 keys without the t1
@@ -643,4 +643,221 @@ fn failed_commit_txn_rolls_back_to_the_byte() {
             "{what}: diverged from the control after the next commit"
         );
     }
+}
+
+/// Lower-case hex SHA-256, for the byte pins below.
+fn sha256_hex(bytes: &[u8]) -> String {
+    let digest = vbx_crypto::hash::sha256(bytes);
+    digest.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn commit_bytes_are_pinned() {
+    // One commit engine must not move a byte of the two envelopes that
+    // stay: a fixed script of batches and txns on `VbScheme<4>` under
+    // the RSA-512 fixture key (deterministic signatures) hashes to the
+    // values measured at the commit before the engines were merged.
+    let signer: Arc<dyn Signer> = Arc::new(vbx_crypto::rsa::fixture_keypair_crt_512());
+    let vfs = Arc::new(MemVfs::new());
+    let config = DurabilityConfig {
+        checkpoint_every: 0,
+        retain_wal: true,
+        page_size: 256,
+    };
+    let mut central = CentralServer::with_scheme(vb(), signer)
+        .with_delta_retention(RETENTION)
+        .with_durability(vfs.clone(), config)
+        .expect("durability init");
+    central.create_table(spec().build());
+    central.create_table(spec2().build());
+    let s0 = central.schema(TABLE).unwrap().clone();
+    let s1 = central.schema(TABLE2).unwrap().clone();
+    let ins = |schema: &Schema, key| UpdateOp::Insert(tuple(schema, key));
+
+    let mut envelopes = Vec::new();
+    let mut batch = |central: &mut CentralServer<VbScheme<4>>, ops| {
+        let batch = central.execute_update_batch(TABLE, ops).expect("batch");
+        envelopes.extend_from_slice(&vbx_core::encode_delta_batch(&batch));
+    };
+    batch(
+        &mut central,
+        vec![ins(&s0, 100), ins(&s0, 101), ins(&s0, 102)],
+    );
+    batch(&mut central, vec![ins(&s0, 103)]);
+    central.heartbeat();
+    batch(
+        &mut central,
+        vec![UpdateOp::Delete(100), UpdateOp::DeleteRange(0, 3)],
+    );
+    let mut txn = |central: &mut CentralServer<VbScheme<4>>, stages: Vec<(&str, UpdateOp)>| {
+        let mut txn = central.begin_txn();
+        for (table, op) in stages {
+            txn.stage(table, op);
+        }
+        let txn = central.commit_txn(txn).expect("txn");
+        envelopes.extend_from_slice(&vbx_core::encode_txn_batch(&txn));
+    };
+    txn(
+        &mut central,
+        vec![
+            (TABLE, ins(&s0, 140)),
+            (TABLE2, ins(&s1, 141)),
+            (TABLE, UpdateOp::Delete(101)),
+            (TABLE2, UpdateOp::Delete(5)),
+        ],
+    );
+    txn(
+        &mut central,
+        vec![(TABLE2, ins(&s1, 150)), (TABLE2, ins(&s1, 151))],
+    );
+
+    let wal = vfs
+        .read(WAL_FILE)
+        .expect("readable WAL")
+        .expect("WAL exists");
+    let state = central.encode_state();
+    central.checkpoint().expect("checkpoint");
+    let ckpt_name = vfs
+        .list()
+        .unwrap()
+        .into_iter()
+        .rfind(|n| n.starts_with("ckpt-"))
+        .expect("a checkpoint file");
+    let ckpt = vfs.read(&ckpt_name).unwrap().expect("checkpoint exists");
+    let got = [
+        ("WAL file", sha256_hex(&wal)),
+        ("encode_state()", sha256_hex(&state)),
+        ("checkpoint image", sha256_hex(&ckpt)),
+        ("VBX3 + VBX7 envelopes", sha256_hex(&envelopes)),
+    ];
+    let want = [
+        "bb513bfdece7d938235cafec69058ee1240726af11e2db4b050ca49aecb93dfa",
+        "53e5759679901259d67ec71527bbdb5fb99cdb50d8de7282dc6450d8582fbf9a",
+        "d1b9c26fb6cbde282812ac9591cf957a805d73135966a3a7581994d71f62bd42",
+        "63dfee3111c8e37c4d611bfaade9a24b0db34472ef9bb0a74f861e19b293c4bd",
+    ];
+    for ((what, got), want) in got.iter().zip(want) {
+        assert_eq!(got, want, "{what} moved");
+    }
+}
+
+/// The three ways one logical update reaches the commit engine.
+#[derive(Clone, Copy, Debug)]
+enum Entry {
+    /// `insert` / `delete`: the doomed op alone, a batch of one.
+    SingleOp,
+    /// `execute_update_batch`: a valid op, then the doomed one.
+    Batch,
+    /// `commit_txn`: a valid op on `t1`, then the doomed one on `t0`.
+    Txn,
+}
+
+fn commit_via<S: DurableScheme>(
+    central: &mut CentralServer<S>,
+    entry: Entry,
+    valid: UpdateOp,
+    last: UpdateOp,
+) -> Result<(), CentralError<S::Error>>
+where
+    S::Store: Clone,
+{
+    match entry {
+        Entry::SingleOp => match last {
+            UpdateOp::Insert(t) => central.insert(TABLE, t).map(drop),
+            UpdateOp::Delete(k) => central.delete(TABLE, k).map(drop),
+            UpdateOp::DeleteRange(lo, hi) => central.delete_range(TABLE, lo, hi).map(drop),
+        },
+        Entry::Batch => central
+            .execute_update_batch(TABLE, vec![valid, last])
+            .map(drop),
+        Entry::Txn => {
+            let mut txn = central.begin_txn();
+            txn.stage(TABLE2, valid).stage(TABLE, last);
+            central.commit_txn(txn).map(drop)
+        }
+    }
+}
+
+/// Regression for store-before-catalog ordering: the single-op and batch
+/// paths used to sweep the store and only then mirror the catalog, with
+/// nothing to roll the store back. A row the store accepts but the
+/// catalog refuses (the Merkle store does not type-check rows) then
+/// returned `Err` with the store already ahead of catalog, log, WAL and
+/// replicas. Every entry point now mirrors first, under the undo log.
+fn refused_commits_leave_no_trace<S: DurableScheme + Clone>(scheme: S, label: &str)
+where
+    S::Store: Clone,
+{
+    let durable = || {
+        let signer: Arc<dyn Signer> = Arc::new(MockSigner::new(37));
+        let vfs = Arc::new(MemVfs::new());
+        let mut central = CentralServer::with_scheme(scheme.clone(), signer)
+            .with_delta_retention(RETENTION)
+            .with_durability(vfs.clone(), config())
+            .expect("durability init");
+        central.create_table(spec().build());
+        central.create_table(spec2().build());
+        (central, vfs)
+    };
+    for entry in [Entry::SingleOp, Entry::Batch, Entry::Txn] {
+        let (mut central, vfs) = durable();
+        let (mut control, _) = durable();
+        let s0 = central.schema(TABLE).unwrap().clone();
+        let s1 = central.schema(TABLE2).unwrap().clone();
+        let ins = |schema: &Schema, key| UpdateOp::Insert(tuple(schema, key));
+        // The valid op goes to the table `commit_via` pairs it with.
+        let valid = |key| match entry {
+            Entry::Txn => ins(&s1, key),
+            _ => ins(&s0, key),
+        };
+        // `t0` is (text, int): this row has the columns swapped.
+        let mistyped = Tuple {
+            key: 900,
+            values: vec![Value::from(7i64), Value::from("swapped")],
+        };
+        // Rows 0..8 exist in both tables.
+        let doomed = [
+            ("type-mismatched row", UpdateOp::Insert(mistyped)),
+            ("duplicate key", ins(&s0, 2)),
+            ("missing key", UpdateOp::Delete(999)),
+        ];
+        for (what, op) in doomed {
+            let ctx = format!("[{label} {entry:?} {what}]");
+            let before = (
+                central.encode_state(),
+                vfs.read(WAL_FILE).expect("readable WAL"),
+                central.delta_log().next_seq(),
+            );
+            let err = commit_via(&mut central, entry, valid(800 + before.2), op).expect_err(&ctx);
+            assert!(
+                matches!(err, CentralError::Storage(_)),
+                "{ctx} every entry point reports the catalog's error, got {err}"
+            );
+            let after = (
+                central.encode_state(),
+                vfs.read(WAL_FILE).expect("readable WAL"),
+                central.delta_log().next_seq(),
+            );
+            assert!(before == after, "{ctx} the refused commit left a trace");
+
+            // The next valid commit lands at the seq, and to the bytes,
+            // of a control that never saw the refused one.
+            for server in [&mut central, &mut control] {
+                let key = 600 + before.2;
+                commit_via(server, entry, valid(key + 100), ins(&s0, key))
+                    .unwrap_or_else(|e| panic!("{ctx} valid commit: {e}"));
+            }
+            assert!(
+                central.encode_state() == control.encode_state(),
+                "{ctx} diverged from the control after the next commit"
+            );
+        }
+    }
+}
+
+#[test]
+fn refused_commits_leave_no_trace_on_any_entry_point() {
+    refused_commits_leave_no_trace(vb(), "vb");
+    refused_commits_leave_no_trace(NaiveScheme::<4>::new(Acc256::test_default()), "naive");
+    refused_commits_leave_no_trace(MerkleScheme, "merkle");
 }

@@ -1,4 +1,4 @@
-//! Property test for the durability subsystem: for **any** mix of
+//! Property tests for the commit path. Durability: for **any** mix of
 //! single-op commits, group-committed batches and heartbeats, under any
 //! checkpoint cadence, recovery is path-independent —
 //!
@@ -10,14 +10,22 @@
 //! schemes. `retain_wal` keeps every record so the full-history replay
 //! stays possible; the second recovery path is forced by restoring the
 //! crash image's checkpoint directory to its post-`create_table` state.
+//!
+//! One commit engine: the same op stream committed through `insert` /
+//! `delete` / `delete_range`, through `execute_update_batch` and through
+//! `commit_txn` leaves byte-identical stores at the central and at a
+//! replica fed through the byte codecs, for all three schemes.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use vbx_baselines::{MerkleScheme, NaiveScheme};
-use vbx_core::{DurableScheme, VbScheme, VbTreeConfig};
+use vbx_core::{
+    commit_from_msg, commit_to_msg, decode_wal_record, encode_wal_commit, Commit, DurableScheme,
+    VbScheme, VbTreeConfig, WalRecord,
+};
 use vbx_crypto::signer::MockSigner;
 use vbx_crypto::{Acc256, Signer};
-use vbx_edge::{CentralServer, DurabilityConfig, UpdateOp};
+use vbx_edge::{CentralServer, DurabilityConfig, EdgeServer, UpdateOp};
 use vbx_storage::workload::WorkloadSpec;
 use vbx_storage::{FailpointFs, MemVfs, Schema, Tuple, Value, Vfs};
 
@@ -32,7 +40,7 @@ enum Op {
     Batch(Vec<u64>),
     Heartbeat,
     /// Atomic multi-table txn: each `(table_sel, key)` stages an insert
-    /// on `t0` (even sel) or `t1` (odd sel) — one `CommitTxn` record.
+    /// on `t0` (even sel) or `t1` (odd sel) — one txn WAL record.
     Txn(Vec<(u8, u64)>),
 }
 
@@ -204,8 +212,129 @@ where
     );
 }
 
+/// The three entry points one logical update can take to the engine.
+const ENTRIES: [&str; 3] = [
+    "insert/delete/delete_range",
+    "execute_update_batch",
+    "commit_txn",
+];
+
+fn commit_via<S: DurableScheme>(
+    central: &mut CentralServer<S>,
+    entry: usize,
+    op: UpdateOp,
+) -> Option<Commit<S::Delta>>
+where
+    S::Store: Clone,
+{
+    match entry {
+        0 => match op {
+            UpdateOp::Insert(t) => central.insert(TABLE, t),
+            UpdateOp::Delete(k) => central.delete(TABLE, k),
+            UpdateOp::DeleteRange(lo, hi) => central.delete_range(TABLE, lo, hi),
+        }
+        .ok()
+        .map(Commit::Batch),
+        1 => central
+            .execute_update_batch(TABLE, vec![op])
+            .ok()
+            .map(Commit::Batch),
+        _ => {
+            let mut txn = central.begin_txn();
+            txn.stage(TABLE, op);
+            central.commit_txn(txn).ok().map(Commit::Txn)
+        }
+    }
+}
+
+/// Commit `ops` once per entry point, each central feeding its own
+/// replica through `codec` (encode, then decode), and compare the store
+/// bytes of all six after every op.
+fn check_entry_points<S: DurableScheme + Clone>(
+    scheme: S,
+    ops: &[Op],
+    codec: impl Fn(&S, &Commit<S::Delta>) -> Commit<S::Delta>,
+) where
+    S::Store: Clone,
+{
+    let signer: Arc<dyn Signer> = Arc::new(MockSigner::new(41));
+    let table = WorkloadSpec {
+        table: TABLE.into(),
+        ..WorkloadSpec::new(8, 2, 8)
+    }
+    .build();
+    let schema = table.schema().clone();
+    let mut sides: Vec<(CentralServer<S>, EdgeServer<S>)> = ENTRIES
+        .iter()
+        .map(|_| {
+            let mut central = CentralServer::with_scheme(scheme.clone(), signer.clone());
+            central.create_table(table.clone());
+            let mut edge = EdgeServer::new(scheme.clone());
+            let store = central.store(TABLE).expect("just created").clone();
+            edge.install_table(TABLE, schema.clone(), store);
+            (central, edge)
+        })
+        .collect();
+    for op in ops {
+        let op = match op {
+            Op::Insert(k) => UpdateOp::Insert(tuple(&schema, *k)),
+            Op::Delete(k) => UpdateOp::Delete(*k),
+            Op::DeleteRange(lo, hi) => UpdateOp::DeleteRange(*lo, *hi),
+            _ => continue,
+        };
+        let mut stores = Vec::new();
+        for (entry, (central, edge)) in sides.iter_mut().enumerate() {
+            let committed = commit_via(central, entry, op.clone());
+            if let Some(commit) = &committed {
+                edge.apply_commit(&codec(&scheme, commit))
+                    .unwrap_or_else(|e| panic!("{}: replica refused {op:?}: {e}", ENTRIES[entry]));
+            }
+            stores.push((
+                committed.is_some(),
+                central.delta_log().next_seq(),
+                scheme.encode_store(central.store(TABLE).expect("table exists")),
+                scheme.encode_store(&edge.store(TABLE).expect("replica exists")),
+            ));
+        }
+        for (entry, side) in stores.iter().enumerate() {
+            assert!(
+                side.2 == side.3,
+                "{}: replica diverged on {op:?}",
+                ENTRIES[entry]
+            );
+            assert!(
+                *side == stores[0],
+                "{} and {} disagree on {op:?}",
+                ENTRIES[entry],
+                ENTRIES[0]
+            );
+        }
+    }
+}
+
+/// The scheme-generic byte codec for a commit: its WAL record.
+fn wal_codec<S: DurableScheme>(scheme: &S, commit: &Commit<S::Delta>) -> Commit<S::Delta> {
+    match decode_wal_record(scheme, &encode_wal_commit(scheme, 0, commit)) {
+        Ok(WalRecord::Commit { commit, .. }) => commit,
+        _ => panic!("a commit record decodes to a commit"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn entry_points_commit_identically(ops in proptest::collection::vec(arb_op(), 1..25)) {
+        // The VB-tree's replication envelopes (`VBX3` / `VBX7`) …
+        let vb = VbScheme::<4>::new(Acc256::test_default(), VbTreeConfig::with_fanout(6));
+        check_entry_points(vb.clone(), &ops, |s, c| {
+            commit_from_msg(&commit_to_msg(c), &s.acc).expect("envelope roundtrip")
+        });
+        // … and the WAL record, the one codec every scheme has.
+        check_entry_points(vb, &ops, wal_codec);
+        check_entry_points(NaiveScheme::<4>::new(Acc256::test_default()), &ops, wal_codec);
+        check_entry_points(MerkleScheme, &ops, wal_codec);
+    }
 
     #[test]
     fn recovery_is_path_independent(

@@ -75,13 +75,13 @@ proptest! {
                 Op::DeleteRange(lo, hi) => central.delete_range("items", *lo, *hi).unwrap(),
             };
             // Edge A applies immediately; edge B lags and catches up below.
-            edge_a.apply_delta(&delta).unwrap();
+            edge_a.apply_delta_batch(&delta).unwrap();
             applied += 1;
         }
 
         // Edge B catches up from the log in one batch.
         for entry in central.deltas_since(edge_b.applied_seq()) {
-            edge_b.apply_log_entry(&entry).unwrap();
+            edge_b.apply_commit(&entry).unwrap();
         }
         prop_assert_eq!(edge_a.applied_seq(), applied as u64);
         prop_assert_eq!(edge_b.applied_seq(), applied as u64);

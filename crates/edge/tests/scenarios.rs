@@ -95,14 +95,14 @@ fn update_deltas_keep_replicas_identical() {
         )
         .unwrap();
         let delta = central.insert("items", t).unwrap();
-        edge.apply_delta(&delta).unwrap();
+        edge.apply_delta_batch(&delta).unwrap();
     }
     for k in [5u64, 17] {
         let delta = central.delete("items", k).unwrap();
-        edge.apply_delta(&delta).unwrap();
+        edge.apply_delta_batch(&delta).unwrap();
     }
     let delta = central.delete_range("items", 30, 40).unwrap();
-    edge.apply_delta(&delta).unwrap();
+    edge.apply_delta_batch(&delta).unwrap();
 
     // Replica must now be digest-identical to the master.
     assert_eq!(
@@ -157,9 +157,9 @@ fn out_of_order_delta_rejected() {
     let d1 = central.insert("items", t1).unwrap();
     let d2 = central.insert("items", t2).unwrap();
     // Skipping d1 must fail.
-    assert!(edge.apply_delta(&d2).is_err());
-    edge.apply_delta(&d1).unwrap();
-    edge.apply_delta(&d2).unwrap();
+    assert!(edge.apply_delta_batch(&d2).is_err());
+    edge.apply_delta_batch(&d1).unwrap();
+    edge.apply_delta_batch(&d2).unwrap();
 }
 
 #[test]
@@ -177,12 +177,12 @@ fn forged_delta_rejected() {
         ],
     )
     .unwrap();
-    let mut delta = central.insert("items", t).unwrap();
+    let mut delta = (*central.insert("items", t).unwrap()).clone();
     // A man-in-the-middle alters the inserted tuple but cannot re-sign.
-    if let vbx_edge::UpdateOp::Insert(tuple) = &mut delta.op {
+    if let vbx_edge::UpdateOp::Insert(tuple) = &mut delta.ops[0] {
         tuple.values[0] = Value::from("evil");
     }
-    let err = edge.apply_delta(&delta).unwrap_err();
+    let err = edge.apply_delta_batch(&delta).unwrap_err();
     assert!(matches!(
         err,
         vbx_edge::EdgeError::Scheme(vbx_core::VbSchemeError::Core(
@@ -365,7 +365,7 @@ fn join_view_distribution_and_refresh() {
     // Update a base table; view refreshes at the central server; the
     // edge applies the delta and pulls the refreshed view.
     let delta = central.delete("orders", 0).unwrap();
-    edge.apply_delta(&delta).unwrap();
+    edge.apply_delta_batch(&delta).unwrap();
     edge.refresh_views(central.view_trees());
 
     let (_, resp2) = edge.query_sql(sql).unwrap();

@@ -107,7 +107,7 @@ fn readers_verify_while_writer_applies_100_deltas() {
                 } else {
                     central.delete("items", i).unwrap()
                 };
-                edge.apply_delta(&delta).unwrap();
+                edge.apply_delta_batch(&delta).unwrap();
             }
             stop.store(true, Ordering::Relaxed);
         });
@@ -168,7 +168,7 @@ fn cache_hits_byte_identical_and_invalidated_on_delta() {
     // against the new snapshot and reflects the deletion.
     assert!(hot.rows.iter().any(|r| r.key == 40));
     let delta = central.delete("items", 40).unwrap();
-    edge.apply_delta(&delta).unwrap();
+    edge.apply_delta_batch(&delta).unwrap();
     let (_, fresh) = edge.query_sql(sql).unwrap();
     assert!(fresh.rows.iter().all(|r| r.key != 40));
     assert!(edge.service().cache_stats().invalidated >= 1);
@@ -242,8 +242,11 @@ fn compact_cache_hits_byte_identical_with_live_freshness() {
     let delta = central.delete("items", 40).unwrap();
     // The edge skipped ahead of the central's sequence above, so align
     // the delta's position with the edge's.
-    let delta = vbx_edge::SignedDelta { seq: 5, ..delta };
-    edge.apply_delta(&delta).unwrap();
+    let delta = vbx_edge::DeltaBatch {
+        start_seq: 5,
+        ..(*delta).clone()
+    };
+    edge.apply_delta_batch(&delta).unwrap();
     let fresh = edge
         .query_compact("items", &queries, Some(&*verifier))
         .unwrap();

@@ -68,7 +68,7 @@ where
     )
     .unwrap();
     let delta = central.insert(&name, tuple).unwrap();
-    edge.apply_delta(&delta).unwrap();
+    edge.apply_delta_batch(&delta).unwrap();
 
     edge.set_tamper(mode);
     let query = RangeQuery::select_all(5, 45);

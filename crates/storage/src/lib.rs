@@ -7,7 +7,7 @@
 //!   (the encoding hashed by formula (1));
 //! * [`schema`] — schemas carrying database/table/attribute names, which
 //!   namespace every attribute digest;
-//! * [`tuple`] — tuples with exact wire sizes (communication-cost
+//! * [`mod@tuple`] — tuples with exact wire sizes (communication-cost
 //!   accounting);
 //! * [`table`] — primary-key-ordered heap tables and a catalog;
 //! * [`page`] — 4 KB slotted pages, used to materialise tree nodes and

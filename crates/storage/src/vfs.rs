@@ -5,7 +5,8 @@
 //! trait so the same recovery code runs against three backends:
 //!
 //! * [`DiskVfs`] — real files in a directory, `fsync` via
-//!   `File::sync_all`, atomic replace via write-temp-then-rename;
+//!   `File::sync_all`, atomic replace via write-temp-then-rename, then
+//!   an `fsync` of the directory so the rename itself is durable;
 //! * [`MemVfs`] — an in-memory filesystem with **faithful fsync
 //!   semantics**: appended bytes sit in a volatile buffer until
 //!   [`sync`](Vfs::sync) moves them to the durable image, and
@@ -118,7 +119,14 @@ impl Vfs for DiskVfs {
             f.write_all(bytes).map_err(|e| io_err("write temp", e))?;
             f.sync_all().map_err(|e| io_err("sync temp", e))?;
         }
-        std::fs::rename(&tmp, self.path(name)).map_err(|e| io_err("rename", e))
+        std::fs::rename(&tmp, self.path(name)).map_err(|e| io_err("rename", e))?;
+        // The rename is an update of the directory, not of the file: until
+        // the directory is synced a crash can still lose it — and the
+        // caller (a checkpoint) goes on to reset the WAL the old name
+        // depended on.
+        std::fs::File::open(&self.root)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| io_err("sync dir", e))
     }
 
     fn truncate(&self, name: &str) -> Result<(), StorageError> {

@@ -22,15 +22,16 @@ fn main() {
     );
 
     // Three geographically-distributed edges receive replicas.
-    let mut edges: Vec<EdgeServer<VbScheme<4>>> = (0..3)
+    let edges: Vec<EdgeServer<VbScheme<4>>> = (0..3)
         .map(|_| EdgeServer::from_bundle(central.bundle()))
         .collect();
     let client = EdgeClient::new(edges[0].schemas(), acc.clone());
     println!("cluster: central + {} edges", edges.len());
 
     // ------------------------------------------------------------------
-    // Live updates: the central server executes them under path locks
-    // and ships signed deltas; replicas replay them without any key.
+    // Live updates: the central server commits each as a batch of one
+    // under path locks and ships the signed batch; replicas replay it
+    // without any key.
     // ------------------------------------------------------------------
     let schema = central.tree("sensors").unwrap().schema().clone();
     for k in 10_000..10_020u64 {
@@ -46,14 +47,14 @@ fn main() {
             ],
         )
         .unwrap();
-        let delta = central.insert("sensors", tuple).unwrap();
-        for e in &mut edges {
-            e.apply_delta(&delta).unwrap();
+        let batch = central.insert("sensors", tuple).unwrap();
+        for e in &edges {
+            e.apply_delta_batch(&batch).unwrap();
         }
     }
-    let delta = central.delete_range("sensors", 100, 149).unwrap();
-    for e in &mut edges {
-        e.apply_delta(&delta).unwrap();
+    let batch = central.delete_range("sensors", 100, 149).unwrap();
+    for e in &edges {
+        e.apply_delta_batch(&batch).unwrap();
     }
     println!(
         "updates: 20 inserts + one 50-row range delete propagated; lock stats: {:?}",

@@ -1,7 +1,7 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! Implements the strategy/macro surface this workspace's property tests
-//! use: the [`Strategy`] trait with `prop_map` / `prop_filter` /
+//! use: the [`strategy::Strategy`] trait with `prop_map` / `prop_filter` /
 //! `prop_flat_map` / `prop_recursive` / `boxed`, [`arbitrary::any`],
 //! integer-range / tuple / regex-string strategies, `collection::vec`,
 //! `option::of`, `bool::ANY`, and the `proptest!` / `prop_oneof!` /
