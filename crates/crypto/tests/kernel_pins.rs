@@ -8,7 +8,7 @@
 //! `L = 4` comb and sliding-window paths.
 
 use vbx_crypto::accum::exp_from_seed;
-use vbx_crypto::signer::{SigVerifier, Signer};
+use vbx_crypto::signer::Signer;
 use vbx_crypto::{rsa, sha256, Acc256, Sha256};
 
 const MESSAGES: u64 = 256;

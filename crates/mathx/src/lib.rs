@@ -7,8 +7,9 @@
 //!   `U1024`, `U2048`, ... aliases) with full arithmetic,
 //! * [`MontCtx`] — Montgomery contexts for fast modular exponentiation:
 //!   4-bit sliding-window repeated squaring with interleaved reductions
-//!   and a dedicated squaring kernel (the optimisation Section 3.2 of the
-//!   paper describes for `h(x) = g^x mod p`),
+//!   (the optimisation Section 3.2 of the paper describes for
+//!   `h(x) = g^x mod p`), every product one fused CIOS multiply-reduce
+//!   on the stack,
 //! * [`FixedBaseTable`] — precomputed radix-16 comb tables for fixed-base
 //!   exponentiation (the accumulator's generator `g` never changes, so
 //!   its lifts need no squarings at all),

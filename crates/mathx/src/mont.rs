@@ -5,6 +5,11 @@
 //! is square-and-multiply with a reduction after every step — the
 //! "repeated squaring coupled with modulo reductions" optimisation that
 //! Section 3.2 of the paper prescribes for evaluating `h(x) = g^x mod p`.
+//!
+//! Every product — squarings, window multiplications, entering and
+//! leaving Montgomery form — runs through one kernel,
+//! [`MontCtx::mont_mul`]: a fused CIOS multiply-reduce over an `L`-limb
+//! stack accumulator, with no heap or thread-local scratch.
 
 use crate::slice_ops;
 use crate::uint::Uint;
@@ -21,23 +26,12 @@ pub struct MontCtx<const L: usize> {
     r1: Uint<L>,
 }
 
-/// Run `f` over a thread-local scratch slice of `len` limbs, reused
-/// across calls — `mont_mul`/`mont_sqr`/`from_mont` execute once per
-/// window digit of every exponentiation, so a heap allocation per call
-/// would dominate small-width products. The buffer only grows (widths
-/// share it) and its contents are never read before being overwritten.
-fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
-    use core::cell::RefCell;
-    thread_local! {
-        static BUF: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-    }
-    BUF.with(|b| {
-        let mut t = b.borrow_mut();
-        if t.len() < len {
-            t.resize(len, 0);
-        }
-        f(&mut t[..len])
-    })
+/// Multiply-accumulate: `acc + a·b + carry` as `(low, high)` limbs. The
+/// sum is at most `2^128 - 1`, so it never overflows.
+#[inline(always)]
+fn mac(acc: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let x = acc as u128 + a as u128 * b as u128 + carry as u128;
+    (x as u64, (x >> 64) as u64)
 }
 
 /// Inverse of an odd `u64` modulo `2^64` via Newton–Hensel lifting.
@@ -85,63 +79,47 @@ impl<const L: usize> MontCtx<L> {
         &self.n
     }
 
-    /// Montgomery reduction of a `2L`-limb buffer: returns `t·R^{-1} mod n`.
-    fn redc(&self, t: &mut [u64]) -> Uint<L> {
-        debug_assert_eq!(t.len(), 2 * L + 1);
-        let n = self.n.limbs();
-        for i in 0..L {
-            let m = t[i].wrapping_mul(self.n0_inv);
-            let mut carry = 0u128;
-            for (j, &nj) in n.iter().enumerate() {
-                let x = t[i + j] as u128 + m as u128 * nj as u128 + carry;
-                t[i + j] = x as u64;
-                carry = x >> 64;
-            }
-            let mut k = i + L;
-            while carry != 0 {
-                let x = t[k] as u128 + carry;
-                t[k] = x as u64;
-                carry = x >> 64;
-                k += 1;
-            }
-        }
-        let mut out = [0u64; L];
-        out.copy_from_slice(&t[L..2 * L]);
-        let extra = t[2 * L];
-        if extra != 0 || slice_ops::cmp(&out, n) != core::cmp::Ordering::Less {
-            slice_ops::sub_assign(&mut out, n);
-        }
-        Uint::from_limbs(out)
-    }
-
-    /// Montgomery product into a caller-provided `2L + 1`-limb scratch
-    /// buffer (avoids an allocation per multiplication in the hot
-    /// exponentiation loops).
+    /// Montgomery product: `a·b·R^{-1} mod n` (inputs in Montgomery form,
+    /// or any values `< R`).
+    ///
+    /// One fused CIOS (coarsely integrated operand scanning) pass: each
+    /// row adds `a·b_i` into an `L`-limb stack accumulator and at once
+    /// adds the multiple `m_i·n` that clears its low limb, then shifts
+    /// down one limb. The accumulator stays below `a + n < 2R`, so `L`
+    /// limbs plus one carry word hold it and no `2L`-limb product is
+    /// ever formed. The result is `(ab + mn)/R` followed by one
+    /// conditional subtraction of `n`.
     #[inline]
-    fn mul_into(&self, t: &mut [u64], a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
-        slice_ops::mul(&mut t[..2 * L], a.limbs(), b.limbs());
-        t[2 * L] = 0;
-        self.redc(t)
-    }
-
-    /// Montgomery squaring into a caller-provided scratch buffer.
-    #[inline]
-    fn sqr_into(&self, t: &mut [u64], a: &Uint<L>) -> Uint<L> {
-        slice_ops::sqr(&mut t[..2 * L], a.limbs());
-        t[2 * L] = 0;
-        self.redc(t)
-    }
-
-    /// Montgomery product: `a·b·R^{-1} mod n` (inputs in Montgomery form).
     pub fn mont_mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
-        with_scratch(2 * L + 1, |t| self.mul_into(t, a, b))
+        let (a, n) = (a.limbs(), self.n.limbs());
+        let mut t = [0u64; L];
+        let mut top = 0u64; // limb L of the accumulator: 0 or 1 between rows
+        for &bi in b.limbs() {
+            // t += a·b_i; the row's top may reach 2^64, so it stays wide.
+            let mut c = 0u64;
+            for (tj, &aj) in t.iter_mut().zip(a) {
+                (*tj, c) = mac(*tj, aj, bi, c);
+            }
+            let wide = top as u128 + c as u128;
+            // t = (t + m·n) / 2^64 with m chosen so the low limb clears.
+            let m = t[0].wrapping_mul(self.n0_inv);
+            let (_, mut c) = mac(t[0], m, n[0], 0);
+            for j in 1..L {
+                (t[j - 1], c) = mac(t[j], m, n[j], c);
+            }
+            let x = wide + c as u128;
+            t[L - 1] = x as u64;
+            top = (x >> 64) as u64;
+        }
+        if top != 0 || slice_ops::cmp(&t, n) != core::cmp::Ordering::Less {
+            slice_ops::sub_assign(&mut t, n);
+        }
+        Uint::from_limbs(t)
     }
 
     /// Montgomery squaring: `a²·R^{-1} mod n` (input in Montgomery form).
-    /// Identical result to `mont_mul(a, a)` at roughly half the limb
-    /// products — the workhorse of the repeated-squaring loops.
     pub fn mont_sqr(&self, a: &Uint<L>) -> Uint<L> {
-        with_scratch(2 * L + 1, |t| self.sqr_into(t, a))
+        self.mont_mul(a, a)
     }
 
     /// Enter Montgomery form: `a·R mod n`.
@@ -151,11 +129,7 @@ impl<const L: usize> MontCtx<L> {
 
     /// Leave Montgomery form: `a·R^{-1} mod n`.
     pub fn from_mont(&self, a: &Uint<L>) -> Uint<L> {
-        with_scratch(2 * L + 1, |t| {
-            t[..L].copy_from_slice(a.limbs());
-            t[L..].fill(0);
-            self.redc(t)
-        })
+        self.mont_mul(a, &Uint::ONE)
     }
 
     /// The Montgomery representation of 1 (`R mod n`).
@@ -173,11 +147,12 @@ impl<const L: usize> MontCtx<L> {
     /// Modular exponentiation `base^exp mod n` of plain values.
     ///
     /// 4-bit sliding-window exponentiation over Montgomery form: odd
-    /// powers `base^1, base^3, …, base^15` are precomputed, squarings use
-    /// the dedicated [`mont_sqr`](Self::mont_sqr) kernel, and a reduction
-    /// follows every step — the "repeated squaring coupled with modulo
-    /// reductions" optimisation Section 3.2 prescribes, with ~⅓ the
-    /// multiplications of plain square-and-multiply.
+    /// powers `base^1, base^3, …, base^15` are precomputed, and every
+    /// squaring and multiplication is one fused
+    /// [`mont_mul`](Self::mont_mul) that reduces as it multiplies — the
+    /// "repeated squaring coupled with modulo reductions" optimisation
+    /// Section 3.2 prescribes, with ~⅓ the multiplications of plain
+    /// square-and-multiply.
     pub fn pow_mod(&self, base: &Uint<L>, exp: &Uint<L>) -> Uint<L> {
         self.pow_mod_varexp(base, exp.limbs())
     }
@@ -191,55 +166,50 @@ impl<const L: usize> MontCtx<L> {
             return self.from_mont(&self.r1); // base^0 = 1
         }
         let base_m = self.to_mont(&base.rem(&self.n));
-        // One borrow of the scratch for the whole ladder: the steps
-        // inside use `mul_into`/`sqr_into`, never the borrowing wrappers.
-        let acc = with_scratch(2 * L + 1, |t| {
-            if nbits <= 24 {
-                // Short exponents — including RSA verify's e = 65537
-                // (17 bits, 2 set bits): the 8-multiplication window table
-                // would cost more than it saves below ~24 bits.
-                let mut acc = base_m;
-                for i in (0..nbits - 1).rev() {
-                    acc = self.sqr_into(t, &acc);
-                    if slice_ops::bit(exp, i) {
-                        acc = self.mul_into(t, &acc, &base_m);
-                    }
+        if nbits <= 24 {
+            // Short exponents — including RSA verify's e = 65537
+            // (17 bits, 2 set bits): the 8-multiplication window table
+            // would cost more than it saves below ~24 bits.
+            let mut acc = base_m;
+            for i in (0..nbits - 1).rev() {
+                acc = self.mont_sqr(&acc);
+                if slice_ops::bit(exp, i) {
+                    acc = self.mont_mul(&acc, &base_m);
                 }
-                return acc;
             }
+            return self.from_mont(&acc);
+        }
 
-            // Odd powers base^(2k+1) for k in 0..8, in Montgomery form.
-            let base_sq = self.sqr_into(t, &base_m);
-            let mut odd = [base_m; 8];
-            for k in 1..8 {
-                odd[k] = self.mul_into(t, &odd[k - 1], &base_sq);
-            }
+        // Odd powers base^(2k+1) for k in 0..8, in Montgomery form.
+        let base_sq = self.mont_sqr(&base_m);
+        let mut odd = [base_m; 8];
+        for k in 1..8 {
+            odd[k] = self.mont_mul(&odd[k - 1], &base_sq);
+        }
 
-            let mut acc = self.r1; // 1 in Montgomery form
-            let mut i = nbits as isize - 1;
-            while i >= 0 {
-                if !slice_ops::bit(exp, i as usize) {
-                    acc = self.sqr_into(t, &acc);
-                    i -= 1;
-                    continue;
-                }
-                // Greedy window [j, i] of at most 4 bits ending on a set bit.
-                let mut j = (i - 3).max(0);
-                while !slice_ops::bit(exp, j as usize) {
-                    j += 1;
-                }
-                let mut val = 0usize;
-                for k in (j..=i).rev() {
-                    val = (val << 1) | slice_ops::bit(exp, k as usize) as usize;
-                }
-                for _ in j..=i {
-                    acc = self.sqr_into(t, &acc);
-                }
-                acc = self.mul_into(t, &acc, &odd[val >> 1]);
-                i = j - 1;
+        let mut acc = self.r1; // 1 in Montgomery form
+        let mut i = nbits as isize - 1;
+        while i >= 0 {
+            if !slice_ops::bit(exp, i as usize) {
+                acc = self.mont_sqr(&acc);
+                i -= 1;
+                continue;
             }
-            acc
-        });
+            // Greedy window [j, i] of at most 4 bits ending on a set bit.
+            let mut j = (i - 3).max(0);
+            while !slice_ops::bit(exp, j as usize) {
+                j += 1;
+            }
+            let mut val = 0usize;
+            for k in (j..=i).rev() {
+                val = (val << 1) | slice_ops::bit(exp, k as usize) as usize;
+            }
+            for _ in j..=i {
+                acc = self.mont_sqr(&acc);
+            }
+            acc = self.mont_mul(&acc, &odd[val >> 1]);
+            i = j - 1;
+        }
         self.from_mont(&acc)
     }
 

@@ -1,9 +1,10 @@
 //! Low-level arithmetic on little-endian `u64` limb slices.
 //!
-//! These are the shared kernels behind [`crate::Uint`] and the Montgomery
-//! machinery. They operate on plain slices so that double-width
-//! intermediates (products, Montgomery buffers) can reuse the same code
-//! without const-generic width arithmetic.
+//! These are the shared kernels behind [`crate::Uint`], the generic
+//! modular helpers and Montgomery setup. They operate on plain slices so
+//! that double-width intermediates (wide products, long-division
+//! numerators) can reuse the same code without const-generic width
+//! arithmetic.
 
 /// Add with carry: returns `(sum, carry_out)`.
 #[inline(always)]
@@ -88,17 +89,6 @@ pub fn bit(a: &[u64], i: usize) -> bool {
     (a[limb] >> (i % 64)) & 1 == 1
 }
 
-/// Shift left by one bit in place; returns the bit shifted out of the top.
-pub fn shl1(a: &mut [u64]) -> u64 {
-    let mut carry = 0u64;
-    for limb in a.iter_mut() {
-        let next = *limb >> 63;
-        *limb = (*limb << 1) | carry;
-        carry = next;
-    }
-    carry
-}
-
 /// Shift right by one bit in place; returns the bit shifted out of the
 /// bottom.
 #[allow(dead_code)]
@@ -135,49 +125,6 @@ pub fn mul(out: &mut [u64], a: &[u64], b: &[u64]) {
             k += 1;
         }
     }
-}
-
-/// Schoolbook squaring: `out = a * a`, exploiting the symmetry of the
-/// product matrix — the `a_i·a_j` (`i < j`) cross products are computed
-/// once and doubled, roughly halving the limb multiplications relative
-/// to [`mul`]`(out, a, a)`. `out` must have length `2 * a.len()` and is
-/// fully overwritten.
-pub fn sqr(out: &mut [u64], a: &[u64]) {
-    debug_assert_eq!(out.len(), 2 * a.len());
-    out.fill(0);
-    // Off-diagonal cross products a_i · a_j for i < j.
-    for (i, &ai) in a.iter().enumerate() {
-        if ai == 0 {
-            continue;
-        }
-        let mut carry = 0u128;
-        for (j, &aj) in a.iter().enumerate().skip(i + 1) {
-            let t = ai as u128 * aj as u128 + out[i + j] as u128 + carry;
-            out[i + j] = t as u64;
-            carry = t >> 64;
-        }
-        let mut k = i + a.len();
-        while carry != 0 {
-            let t = out[k] as u128 + carry;
-            out[k] = t as u64;
-            carry = t >> 64;
-            k += 1;
-        }
-    }
-    // Double the cross products (they appear twice in the square), then
-    // add the diagonal a_i² terms. The shift cannot overflow: the
-    // cross-product sum is at most (a² - Σa_i²)/2 < 2^(128·len - 1).
-    shl1(out);
-    let mut carry = 0u64;
-    for (i, &ai) in a.iter().enumerate() {
-        let sq = ai as u128 * ai as u128;
-        let (s0, c0) = adc(out[2 * i], sq as u64, carry);
-        out[2 * i] = s0;
-        let (s1, c1) = adc(out[2 * i + 1], (sq >> 64) as u64, c0);
-        out[2 * i + 1] = s1;
-        carry = c1;
-    }
-    debug_assert_eq!(carry, 0, "a^2 fits in 2·len limbs");
 }
 
 /// Shift left by `s < 64` bits in place; returns the bits shifted out of
@@ -341,22 +288,16 @@ mod tests {
         assert_eq!(out, [1, 0xFFFF_FFFF_FFFF_FFFE]);
     }
 
-    #[test]
-    fn sqr_matches_mul() {
-        let cases: [&[u64]; 5] = [
-            &[0],
-            &[0xFFFF_FFFF_FFFF_FFFF],
-            &[1, 2, 3, 4],
-            &[u64::MAX, u64::MAX, u64::MAX, u64::MAX],
-            &[0x0123_4567_89AB_CDEF, 0, 0xFEDC_BA98_7654_3210],
-        ];
-        for a in cases {
-            let mut via_mul = vec![0u64; 2 * a.len()];
-            mul(&mut via_mul, a, a);
-            let mut via_sqr = vec![0u64; 2 * a.len()];
-            sqr(&mut via_sqr, a);
-            assert_eq!(via_sqr, via_mul, "input {a:?}");
+    /// Shift left by one bit in place; returns the bit shifted out of
+    /// the top.
+    fn shl1(a: &mut [u64]) -> u64 {
+        let mut carry = 0u64;
+        for limb in a.iter_mut() {
+            let next = *limb >> 63;
+            *limb = (*limb << 1) | carry;
+            carry = next;
         }
+        carry
     }
 
     /// Compare slices of possibly different lengths (treating missing

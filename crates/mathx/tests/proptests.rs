@@ -3,7 +3,7 @@
 //! modular identities.
 
 use proptest::prelude::*;
-use vbx_mathx::{modular, FixedBaseTable, MontCtx, U128, U256};
+use vbx_mathx::{modular, FixedBaseTable, MontCtx, Uint, U128, U256};
 
 fn u256(v: u128) -> U256 {
     U256::from_u128(v)
@@ -21,6 +21,86 @@ fn odd_modulus(lo: u128, hi: u128) -> U256 {
         U256::from_u64(3)
     } else {
         m
+    }
+}
+
+/// `R mod n` for `R = 2^(64·L)`, as `(R − n) mod n`: no Montgomery step.
+fn r_mod<const L: usize>(n: &Uint<L>) -> Uint<L> {
+    Uint::ZERO.wrapping_sub(n).rem(n)
+}
+
+/// Check `mont_mul` against `modular::mul_mod` (wide schoolbook product
+/// and Knuth division, no Montgomery step). A result `x` that is
+/// canonical (`x < n`) and satisfies `x·R ≡ a·b (mod n)` is exactly
+/// `a·b·R⁻¹ mod n`, since `R` is invertible modulo an odd `n`.
+///
+/// `shape` picks the modulus: 0 random full width, 1 top limb
+/// `u64::MAX` (the accumulator's carry word and the final subtraction
+/// both fire), 2 a single low limb (every upper limb of `n` is zero).
+fn check_mont_mul<const L: usize>(n: [u64; L], a: [u64; L], b: [u64; L], shape: u8) {
+    let mut n = n;
+    n[0] |= 1;
+    match shape {
+        0 => {}
+        1 => n[L - 1] = u64::MAX,
+        _ => n[1..].fill(0),
+    }
+    let n = Uint::from_limbs(n);
+    let n = if n.is_one() { Uint::from_u64(3) } else { n };
+    let ctx = MontCtx::new(n);
+    let r = r_mod(&n);
+    assert_eq!(ctx.one(), r, "R mod n");
+    let operands = [
+        Uint::from_limbs(a).rem(&n),
+        Uint::from_limbs(b).rem(&n),
+        Uint::ZERO,
+        Uint::ONE,
+        n.wrapping_sub(&Uint::ONE),
+        r,
+    ];
+    for x in &operands {
+        for y in &operands {
+            let got = ctx.mont_mul(x, y);
+            assert!(got < n, "{x} · {y} mod {n}: {got} not reduced");
+            assert_eq!(
+                modular::mul_mod(&got, &r, &n),
+                modular::mul_mod(x, y, &n),
+                "{x} · {y} mod {n}"
+            );
+        }
+        assert_eq!(ctx.mont_sqr(x), ctx.mont_mul(x, x));
+        assert_eq!(ctx.to_mont(x), modular::mul_mod(x, &r, &n));
+        assert_eq!(ctx.from_mont(&ctx.to_mont(x)), *x);
+    }
+}
+
+proptest! {
+    /// The fused Montgomery kernel at every width the system runs:
+    /// `L = 4` (accumulator), `8` (RSA-1024 CRT halves), `16` (RSA-1024
+    /// verify and the condensed-RSA sweep), plus `1` and `2`.
+    #[test]
+    fn mont_mul_matches_oracle_l1(n in any::<[u64; 1]>(), a in any::<[u64; 1]>(), b in any::<[u64; 1]>(), shape in 0u8..3) {
+        check_mont_mul(n, a, b, shape);
+    }
+
+    #[test]
+    fn mont_mul_matches_oracle_l2(n in any::<[u64; 2]>(), a in any::<[u64; 2]>(), b in any::<[u64; 2]>(), shape in 0u8..3) {
+        check_mont_mul(n, a, b, shape);
+    }
+
+    #[test]
+    fn mont_mul_matches_oracle_l4(n in any::<[u64; 4]>(), a in any::<[u64; 4]>(), b in any::<[u64; 4]>(), shape in 0u8..3) {
+        check_mont_mul(n, a, b, shape);
+    }
+
+    #[test]
+    fn mont_mul_matches_oracle_l8(n in any::<[u64; 8]>(), a in any::<[u64; 8]>(), b in any::<[u64; 8]>(), shape in 0u8..3) {
+        check_mont_mul(n, a, b, shape);
+    }
+
+    #[test]
+    fn mont_mul_matches_oracle_l16(n in any::<[u64; 16]>(), a in any::<[u64; 16]>(), b in any::<[u64; 16]>(), shape in 0u8..3) {
+        check_mont_mul(n, a, b, shape);
     }
 }
 
