@@ -37,8 +37,7 @@ fn r_mod<const L: usize>(n: &Uint<L>) -> Uint<L> {
 /// `shape` picks the modulus: 0 random full width, 1 top limb
 /// `u64::MAX` (the accumulator's carry word and the final subtraction
 /// both fire), 2 a single low limb (every upper limb of `n` is zero).
-fn check_mont_mul<const L: usize>(n: [u64; L], a: [u64; L], b: [u64; L], shape: u8) {
-    let mut n = n;
+fn check_mont_mul<const L: usize>(mut n: [u64; L], a: [u64; L], b: [u64; L], shape: u8) {
     n[0] |= 1;
     match shape {
         0 => {}
@@ -68,7 +67,6 @@ fn check_mont_mul<const L: usize>(n: [u64; L], a: [u64; L], b: [u64; L], shape: 
                 "{x} · {y} mod {n}"
             );
         }
-        assert_eq!(ctx.mont_sqr(x), ctx.mont_mul(x, x));
         assert_eq!(ctx.to_mont(x), modular::mul_mod(x, &r, &n));
         assert_eq!(ctx.from_mont(&ctx.to_mont(x)), *x);
     }
