@@ -17,7 +17,7 @@
 
 use vbx_crypto::hash::sha256;
 use vbx_crypto::{SigVerifier, Signature, Signer};
-use vbx_storage::{Schema, Table, Tuple};
+use vbx_storage::{Schema, StorageError, Table, Tuple};
 
 /// Verification failures for the Merkle baseline.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,6 +35,8 @@ pub enum MerkleError {
     DuplicateKey(u64),
     /// Delete of a missing key.
     KeyNotFound(u64),
+    /// An inserted row does not match the table's schema.
+    Schema(StorageError),
 }
 
 impl core::fmt::Display for MerkleError {
@@ -51,6 +53,7 @@ impl core::fmt::Display for MerkleError {
             MerkleError::BadBoundary => write!(f, "boundary tuples do not prove completeness"),
             MerkleError::DuplicateKey(k) => write!(f, "duplicate key {k}"),
             MerkleError::KeyNotFound(k) => write!(f, "key {k} not found"),
+            MerkleError::Schema(e) => write!(f, "{e}"),
         }
     }
 }
@@ -152,10 +155,15 @@ impl MerkleAuthStore {
         }
     }
 
-    /// Insert a tuple and rebuild the hash levels. The root signature is
-    /// *not* refreshed — call [`sign_root`](Self::sign_root) (trusted) or
-    /// [`install_root_sig`](Self::install_root_sig) (replica) afterwards.
+    /// Insert a tuple and rebuild the hash levels; a row that does not
+    /// match the schema is refused before anything changes. The root
+    /// signature is *not* refreshed — call [`sign_root`](Self::sign_root)
+    /// (trusted) or [`install_root_sig`](Self::install_root_sig)
+    /// (replica) afterwards.
     pub fn insert_tuple(&mut self, tuple: Tuple) -> Result<(), MerkleError> {
+        self.schema
+            .check_row(&tuple.values)
+            .map_err(MerkleError::Schema)?;
         let pos = self.tuples.partition_point(|t| t.key < tuple.key);
         if self.tuples.get(pos).is_some_and(|t| t.key == tuple.key) {
             return Err(MerkleError::DuplicateKey(tuple.key));
@@ -218,6 +226,11 @@ impl MerkleAuthStore {
     /// The schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    /// The stored tuples in key order.
+    pub fn tuples(&self) -> &[Tuple] {
+        &self.tuples
     }
 
     /// Number of tuples.

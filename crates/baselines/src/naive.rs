@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use vbx_core::ResponseFreshness;
 use vbx_crypto::accum::{Accumulator, DigestRole, SignedDigest};
 use vbx_crypto::{SigVerifier, Signer};
-use vbx_storage::{Schema, Table, Tuple, Value};
+use vbx_storage::{Schema, StorageError, Table, Tuple, Value};
 
 /// Why a Naive response failed verification.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,6 +49,8 @@ pub enum NaiveError {
     /// A replayed delta's digests do not match the replica's own
     /// recomputation — the delta was forged or the replica diverged.
     ReplicaDivergence(String),
+    /// An inserted row does not match the table's schema.
+    Schema(StorageError),
 }
 
 impl core::fmt::Display for NaiveError {
@@ -61,6 +63,7 @@ impl core::fmt::Display for NaiveError {
             NaiveError::DuplicateKey(k) => write!(f, "duplicate key {k}"),
             NaiveError::KeyNotFound(k) => write!(f, "key {k} not found"),
             NaiveError::ReplicaDivergence(m) => write!(f, "replica divergence: {m}"),
+            NaiveError::Schema(e) => write!(f, "{e}"),
         }
     }
 }
@@ -178,7 +181,9 @@ impl<const L: usize> NaiveAuthStore<L> {
     }
 
     /// Install a pre-signed tuple (updates at the trusted server, and
-    /// signed-delta replay at replicas — replicas cannot sign).
+    /// signed-delta replay at replicas — replicas cannot sign). A row
+    /// that does not match the schema is refused before anything
+    /// changes.
     pub fn insert_signed(
         &mut self,
         tuple: Tuple,
@@ -186,6 +191,9 @@ impl<const L: usize> NaiveAuthStore<L> {
         tuple_digest: SignedDigest<L>,
         key_version: u32,
     ) -> Result<(), NaiveError> {
+        self.schema
+            .check_row(&tuple.values)
+            .map_err(NaiveError::Schema)?;
         if self.entries.contains_key(&tuple.key) {
             return Err(NaiveError::DuplicateKey(tuple.key));
         }
@@ -229,6 +237,11 @@ impl<const L: usize> NaiveAuthStore<L> {
     /// The schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    /// The stored tuples in key order.
+    pub fn tuples(&self) -> impl Iterator<Item = &Tuple> {
+        self.entries.values().map(|e| &e.tuple)
     }
 
     /// Number of tuples.

@@ -8,8 +8,8 @@ use crate::naive::{NaiveAuthStore, NaiveError, NaiveResponse};
 use std::sync::Arc;
 use vbx_core::durable::DurableScheme;
 use vbx_core::scheme::{
-    drop_middle_row, inject_duplicate_last, mutate_first_value, update_batch_atomic, AuthScheme,
-    TamperMode, UpdateOp, VerifiedBatch,
+    drop_middle_row, inject_duplicate_last, mutate_first_value, rows_to_table, update_batch_atomic,
+    AuthScheme, TamperMode, UpdateOp, VerifiedBatch,
 };
 use vbx_core::vo::{RangeQuery, ResultRow};
 use vbx_core::{CoreError, CostMeter, ResponseFreshness, StoreRestorer, SyncError};
@@ -45,6 +45,14 @@ impl<const L: usize> AuthScheme for NaiveScheme<L> {
 
     fn build(&self, table: &Table, signer: &dyn Signer) -> NaiveAuthStore<L> {
         NaiveAuthStore::build(table, self.acc.clone(), signer)
+    }
+
+    fn schema<'a>(&self, store: &'a NaiveAuthStore<L>) -> &'a Schema {
+        store.schema()
+    }
+
+    fn table(&self, store: &NaiveAuthStore<L>) -> Table {
+        rows_to_table(store.schema(), store.tuples())
     }
 
     fn range_query(&self, store: &NaiveAuthStore<L>, query: &RangeQuery) -> NaiveResponse<L> {
@@ -304,6 +312,14 @@ impl AuthScheme for MerkleScheme {
 
     fn build(&self, table: &Table, signer: &dyn Signer) -> MerkleAuthStore {
         MerkleAuthStore::build(table, signer)
+    }
+
+    fn schema<'a>(&self, store: &'a MerkleAuthStore) -> &'a Schema {
+        store.schema()
+    }
+
+    fn table(&self, store: &MerkleAuthStore) -> Table {
+        rows_to_table(store.schema(), store.tuples())
     }
 
     fn range_query(&self, store: &MerkleAuthStore, query: &RangeQuery) -> MerkleResponse {

@@ -72,7 +72,6 @@ pub fn run_recover(rows: u64, smoke: bool) -> Vec<BenchRecord> {
     let config = DurabilityConfig {
         checkpoint_every: 0, // DDL-only: keep every commit in the WAL
         retain_wal: false,
-        page_size: 4096,
     };
     let mut central = durable_central(vfs, rows, config);
     let schema = central.schema(TABLE).expect("table").clone();

@@ -75,7 +75,6 @@ pub fn run_txn(rows: u64, smoke: bool) -> Vec<BenchRecord> {
     let config = DurabilityConfig {
         checkpoint_every: 0, // DDL-only: keep every commit in the WAL
         retain_wal: false,
-        page_size: 4096,
     };
     let base = 1 << 20; // keys above the seeded rows
 

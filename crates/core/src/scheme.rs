@@ -299,6 +299,15 @@ pub trait AuthScheme {
     /// Trusted: build and sign the store over a table.
     fn build(&self, table: &Table, signer: &dyn Signer) -> Self::Store;
 
+    /// The schema of the table `store` authenticates.
+    fn schema<'a>(&self, store: &'a Self::Store) -> &'a Schema;
+
+    /// The plain table `store` authenticates, in key order — the
+    /// inverse of [`build`](Self::build). Every store holds its rows,
+    /// so the central server keeps no second copy: re-signing and view
+    /// refreshes read the rows back from here.
+    fn table(&self, store: &Self::Store) -> Table;
+
     /// Untrusted: answer a range query (+ projection, where supported)
     /// with authentication material attached.
     fn range_query(&self, store: &Self::Store, query: &RangeQuery) -> Self::Response;
@@ -330,14 +339,15 @@ pub trait AuthScheme {
     /// payload cardinality of their choosing — see [`DeltaBatch`]).
     ///
     /// **Atomicity contract:** on `Err`, the store must be unchanged —
-    /// the central server commits a batch all-or-nothing and logs
-    /// nothing on failure, so a half-applied store would silently
-    /// diverge from the catalog and every replica. The *default* loop
-    /// stops at the first error and cannot roll back (it knows nothing
-    /// about `Self::Store`); schemes whose store is `Clone` get the
-    /// contract by overriding with [`update_batch_atomic`] (as the
-    /// Naive/Merkle baselines do), and the VB-tree's deferred-sweep
-    /// override restores a pre-batch backup itself.
+    /// it is the central server's only copy of the rows, the server
+    /// commits a batch all-or-nothing and logs nothing on failure, so a
+    /// half-applied store would silently diverge from the log and every
+    /// replica. The *default* loop stops at the first error and cannot
+    /// roll back (it knows nothing about `Self::Store`); schemes whose
+    /// store is `Clone` get the contract by overriding with
+    /// [`update_batch_atomic`] (as the Naive/Merkle baselines do), and
+    /// the VB-tree's deferred-sweep override restores a pre-batch
+    /// backup itself.
     fn update_batch(
         &self,
         store: &mut Self::Store,
@@ -516,6 +526,18 @@ where
         }
     }
     Ok(payloads)
+}
+
+/// Collect a store's key-ordered, schema-checked rows into a [`Table`]
+/// (shared by schemes' [`AuthScheme::table`]).
+pub fn rows_to_table<'a>(schema: &Schema, rows: impl IntoIterator<Item = &'a Tuple>) -> Table {
+    let mut table = Table::new(schema.clone());
+    for row in rows {
+        table
+            .insert(row.clone())
+            .expect("a store holds unique, schema-checked rows");
+    }
+    table
 }
 
 /// Corrupt the first value of a row in place (shared by schemes'
@@ -710,6 +732,14 @@ impl<const L: usize> AuthScheme for VbScheme<L> {
             signer,
             crate::tree::default_build_threads(table.len()),
         )
+    }
+
+    fn schema<'a>(&self, store: &'a VbTree<L>) -> &'a Schema {
+        store.schema()
+    }
+
+    fn table(&self, store: &VbTree<L>) -> Table {
+        rows_to_table(store.schema(), store.range(0, u64::MAX))
     }
 
     fn range_query(&self, store: &VbTree<L>, query: &RangeQuery) -> QueryResponse<L> {

@@ -17,7 +17,7 @@ use vbx_core::{CoreError, FreshnessStamp, VbTree, VbTreeConfig};
 use vbx_crypto::accum::Accumulator;
 use vbx_crypto::{KeyRegistry, Signer};
 use vbx_query::{build_view_table, JoinViewDef};
-use vbx_storage::{Catalog, StorageError, Table, Tuple};
+use vbx_storage::{Schema, StorageError, Table, Tuple};
 
 /// Cursor and append errors from the [`DeltaLog`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -349,33 +349,6 @@ impl<E> From<StorageError> for CentralError<E> {
 /// old stamp until it catches up — conservative, never unsound.
 const STAMP_RETENTION: usize = 1_024;
 
-/// Knobs of the opt-in group-commit queue
-/// ([`CentralServer::with_group_commit`]): independent single-op
-/// transactions enqueued via [`CentralServer::enqueue_update`] coalesce
-/// into [`DeltaBatch`] commits, amortising the per-commit signature,
-/// stamp, snapshot swap, and fan-out message over up to `max_batch`
-/// ops. The price is commit latency: an enqueued op is not visible to
-/// replicas until its batch flushes.
-#[derive(Clone, Copy, Debug)]
-pub struct GroupCommitConfig {
-    /// Flush once this many ops are pending (≥ 1).
-    pub max_batch: usize,
-    /// Flush at the first enqueue after the oldest pending op has
-    /// waited this many logical-clock ticks (commits and heartbeats
-    /// advance the clock). `0` keeps ops pending only until the next
-    /// flush trigger; `u64::MAX` disables the age trigger.
-    pub commit_interval: u64,
-}
-
-impl Default for GroupCommitConfig {
-    fn default() -> Self {
-        Self {
-            max_batch: 16,
-            commit_interval: 4,
-        }
-    }
-}
-
 /// A staged multi-table update transaction (see
 /// [`CentralServer::begin_txn`]). Ops buffer in arrival order; nothing
 /// locks, signs, logs, or hits the WAL until
@@ -404,79 +377,14 @@ impl Txn {
     }
 }
 
-/// Inverse of one catalog-table mutation made by [`mirror_ops`].
-pub(crate) enum CatalogUndo {
-    /// A tuple was inserted under this key: delete it again.
-    Inserted(u64),
-    /// This tuple was deleted: put it back.
-    Deleted(Tuple),
-}
-
-/// Mirror committed (or about to be committed) update ops into their
-/// plain-tuple catalog table — the one place that knows how an
-/// [`UpdateOp`] reads against a [`Table`]. Returns the undo log: one
-/// inverse per row touched, in application order. All-or-nothing: on a
-/// conflict (duplicate key, missing key, schema mismatch) the ops
-/// already mirrored by this call are unwound before the error returns.
-pub(crate) fn mirror_ops(
-    cat: &mut Table,
-    ops: &[UpdateOp],
-) -> Result<Vec<CatalogUndo>, StorageError> {
-    let mut log = Vec::with_capacity(ops.len());
-    let mirrored = ops.iter().try_for_each(|op| {
-        match op {
-            UpdateOp::Insert(tuple) => {
-                cat.insert(tuple.clone())?;
-                log.push(CatalogUndo::Inserted(tuple.key));
-            }
-            UpdateOp::Delete(key) => log.push(CatalogUndo::Deleted(cat.delete(*key)?)),
-            UpdateOp::DeleteRange(lo, hi) => {
-                let doomed: Vec<u64> = cat.range(*lo, *hi).map(|t| t.key).collect();
-                for k in doomed {
-                    log.push(CatalogUndo::Deleted(cat.delete(k)?));
-                }
-            }
-        }
-        Ok(())
-    });
-    match mirrored {
-        Ok(()) => Ok(log),
-        Err(e) => {
-            unmirror_ops(cat, log);
-            Err(e)
-        }
-    }
-}
-
-/// Replay an undo log from [`mirror_ops`] backwards, restoring the
-/// table to exactly its rows before that call.
-fn unmirror_ops(cat: &mut Table, log: Vec<CatalogUndo>) {
-    for step in log.into_iter().rev() {
-        match step {
-            CatalogUndo::Inserted(key) => {
-                cat.delete(key).expect("undo log: the key was inserted");
-            }
-            CatalogUndo::Deleted(tuple) => {
-                cat.insert(tuple).expect("undo log: the tuple was deleted");
-            }
-        }
-    }
-}
-
-/// Unwind the per-run undo logs of a multi-table txn, newest run first.
-fn unmirror_runs(catalog: &mut Catalog, runs: Vec<(&str, Vec<CatalogUndo>)>) {
-    for (table, log) in runs.into_iter().rev() {
-        let cat = catalog.get_mut(table).expect("catalog mirrors stores");
-        unmirror_ops(cat, log);
-    }
-}
-
 /// The trusted central DBMS, generic over the authentication scheme.
 pub struct CentralServer<S: AuthScheme> {
     pub(crate) scheme: S,
     pub(crate) signer: Arc<dyn Signer>,
     pub(crate) registry: KeyRegistry,
-    pub(crate) catalog: Catalog,
+    /// Every authenticated store, base tables and views alike. A store
+    /// is the only copy of its rows: base tables are the keys no view
+    /// names.
     pub(crate) stores: BTreeMap<String, S::Store>,
     pub(crate) views: Vec<JoinViewDef>,
     pub(crate) locks: LockManager,
@@ -491,14 +399,6 @@ pub struct CentralServer<S: AuthScheme> {
     /// — with an RSA signer that is a full extra signing operation per
     /// update — and attest only on [`heartbeat`](Self::heartbeat).
     pub(crate) stamp_commits: bool,
-    /// Group-commit knobs; `None` = every update commits individually.
-    pub(crate) group_commit: Option<GroupCommitConfig>,
-    /// Ops waiting for the next group-commit flush, in arrival order.
-    /// Queued-not-yet-committed: these are *not* WAL-protected — an op
-    /// is durable only once its batch commits (and is acked as such).
-    pub(crate) pending: Vec<(String, UpdateOp)>,
-    /// Clock value when the oldest pending op was enqueued.
-    pub(crate) pending_since_clock: u64,
     pub(crate) clock: u64,
     /// Write-ahead durability engine; `None` = in-memory only (the
     /// pre-durability behaviour, still the default).
@@ -517,16 +417,12 @@ impl<S: AuthScheme> CentralServer<S> {
             scheme,
             signer,
             registry,
-            catalog: Catalog::new(),
             stores: BTreeMap::new(),
             views: Vec::new(),
             locks: LockManager::new(),
             log: DeltaLog::unbounded(),
             stamps,
             stamp_commits: false,
-            group_commit: None,
-            pending: Vec::new(),
-            pending_since_clock: 0,
             clock: 0,
             durability: None,
         }
@@ -539,18 +435,6 @@ impl<S: AuthScheme> CentralServer<S> {
     pub fn with_delta_retention(mut self, retention: usize) -> Self {
         self.log = DeltaLog::new(retention);
         self.stamp_commits = true;
-        self
-    }
-
-    /// Enable the group-commit queue (see [`GroupCommitConfig`]):
-    /// [`enqueue_update`](Self::enqueue_update) coalesces independent
-    /// single-op transactions into [`DeltaBatch`] commits instead of
-    /// committing each op individually.
-    pub fn with_group_commit(mut self, config: GroupCommitConfig) -> Self {
-        self.group_commit = Some(GroupCommitConfig {
-            max_batch: config.max_batch.max(1),
-            ..config
-        });
         self
     }
 
@@ -589,19 +473,17 @@ impl<S: AuthScheme> CentralServer<S> {
     pub fn create_table(&mut self, table: Table) {
         let store = self.scheme.build(&table, self.signer.as_ref());
         self.stores.insert(table.schema().table.clone(), store);
-        self.catalog.put(table);
         self.durability_mark_ddl();
     }
 
-    /// Drop a base table from the catalog and discard its store.
-    /// Returns `false` when no such table exists. DDL, like
+    /// Drop a base table and discard its store. Returns `false` when no
+    /// such base table exists (a view name included). DDL, like
     /// [`create_table`](Self::create_table): forces a checkpoint so the
     /// drop lands in a durable snapshot. Edges that still hold an
     /// assignment for the table discover the drop on their next
     /// (re)subscription and remove the stale replica.
     pub fn drop_table(&mut self, name: &str) -> bool {
-        let existed = self.catalog.remove(name).is_some();
-        self.stores.remove(name);
+        let existed = !self.is_view(name) && self.stores.remove(name).is_some();
         if existed {
             self.durability_mark_ddl();
         }
@@ -614,9 +496,32 @@ impl<S: AuthScheme> CentralServer<S> {
     }
 
     /// Schema of a base table (scheme-independent metadata clients and
-    /// the cluster coordinator share).
-    pub fn schema(&self, name: &str) -> Option<&vbx_storage::Schema> {
-        self.catalog.get(name).map(Table::schema)
+    /// the cluster coordinator share). `None` for views.
+    pub fn schema(&self, name: &str) -> Option<&Schema> {
+        self.base_store(name).map(|store| self.scheme.schema(store))
+    }
+
+    /// True when `name` is a materialised view rather than a base table.
+    fn is_view(&self, name: &str) -> bool {
+        self.views.iter().any(|d| d.name == name)
+    }
+
+    /// A base table's store; `None` for unknown names and views.
+    fn base_store(&self, name: &str) -> Option<&S::Store> {
+        self.stores.get(name).filter(|_| !self.is_view(name))
+    }
+
+    /// Base tables and their stores, in name order: every store no view
+    /// names.
+    pub(crate) fn base_tables(&self) -> impl Iterator<Item = (&String, &S::Store)> {
+        self.stores.iter().filter(|(name, _)| !self.is_view(name))
+    }
+
+    /// The rows of base table `name`, read back from its store.
+    fn base_table(&self, name: &str) -> Result<Table, CentralError<S::Error>> {
+        self.base_store(name)
+            .map(|store| self.scheme.table(store))
+            .ok_or_else(|| CentralError::UnknownTable(name.into()))
     }
 
     /// Materialise an equijoin view and build its authenticated store
@@ -629,16 +534,10 @@ impl<S: AuthScheme> CentralServer<S> {
         left_col: &str,
         right_col: &str,
     ) -> Result<String, CentralError<S::Error>> {
-        let lt = self
-            .catalog
-            .get(left)
-            .ok_or_else(|| CentralError::UnknownTable(left.into()))?;
-        let rt = self
-            .catalog
-            .get(right)
-            .ok_or_else(|| CentralError::UnknownTable(right.into()))?;
+        let lt = self.base_table(left)?;
+        let rt = self.base_table(right)?;
         let def = JoinViewDef::new(left, right, left_col, right_col);
-        let view_table = build_view_table(&def, lt, rt)?;
+        let view_table = build_view_table(&def, &lt, &rt)?;
         let store = self.scheme.build(&view_table, self.signer.as_ref());
         let name = def.name.clone();
         self.stores.insert(name.clone(), store);
@@ -698,30 +597,8 @@ impl<S: AuthScheme> CentralServer<S> {
     /// owner's liveness heartbeat. Edges that receive (via their
     /// subscription) this stamp prove recent contact; a partitioned
     /// edge keeps an aging stamp and trips `FreshnessPolicy::max_age`.
-    ///
-    /// The heartbeat also **flushes aged group-commit runs**: the
-    /// enqueue-side age trigger only fires on the *next* enqueue, so a
-    /// queue that goes quiet would otherwise hold its pending ops
-    /// hostage indefinitely. The heartbeat — the one event guaranteed
-    /// to keep happening — commits any run whose oldest op has waited
-    /// past `commit_interval`. A failing flush follows
-    /// [`flush_group_commit`](Self::flush_group_commit)'s documented
-    /// semantics (nothing commits and the pending ops are dropped; a
-    /// durability failure poisons the engine and resurfaces on the next
-    /// commit), and the stamp signed below attests the *post-flush*
-    /// position.
-    pub fn heartbeat(&mut self) -> FreshnessStamp
-    where
-        S::Store: Clone,
-    {
+    pub fn heartbeat(&mut self) -> FreshnessStamp {
         self.clock += 1;
-        if let Some(config) = self.group_commit {
-            let aged = !self.pending.is_empty()
-                && self.clock.saturating_sub(self.pending_since_clock) >= config.commit_interval;
-            if aged {
-                let _ = self.flush_group_commit();
-            }
-        }
         let stamp = FreshnessStamp::sign(self.signer.as_ref(), self.log.next_seq(), self.clock);
         self.stamps.insert(self.log.next_seq(), stamp.clone());
         self.prune_stamps();
@@ -746,8 +623,8 @@ impl<S: AuthScheme> CentralServer<S> {
 }
 
 /// The commit path. Every entry point — a single op, a group-committed
-/// batch, an atomic multi-table txn, a group-commit flush — funnels into
-/// `commit_runs`, the paper's one update transaction (Section 3.4).
+/// batch, an atomic multi-table txn — funnels into `commit_runs`, the
+/// paper's one update transaction (Section 3.4).
 impl<S: AuthScheme> CentralServer<S>
 where
     S::Store: Clone,
@@ -860,24 +737,21 @@ where
     /// is logged.
     ///
     /// X-lock the union of every run's lock targets across all touched
-    /// tables, mirror every op into the catalog tables under an undo
-    /// log (so catalog conflicts — duplicate key, missing key, schema
-    /// mismatch — surface before any store mutates, and as the
-    /// catalog's error), run each run's [`AuthScheme::update_batch`]
-    /// signing sweep, release, refresh affected views once, stamp the
-    /// end position (cluster mode), push the commit to the log, and
-    /// append its WAL record — append-before-ack: the record (and its
-    /// fsync) lands before the commit is returned to the caller.
+    /// tables, run each run's [`AuthScheme::update_batch`] signing
+    /// sweep, release, refresh affected views once, stamp the end
+    /// position (cluster mode), push the commit to the log, and append
+    /// its WAL record — append-before-ack: the record (and its fsync)
+    /// lands before the commit is returned to the caller.
     ///
     /// All-or-nothing: on any failure up to the sweeps — an unknown
-    /// table, a catalog conflict, a failing sweep — no store, catalog
-    /// table, log entry, or durable record changes at all. The catalog
-    /// is restored by replaying its undo log backwards, O(ops). A store
+    /// table, or a sweep refusing an op (duplicate key, missing key,
+    /// schema mismatch) with the scheme's error — no store, log entry,
+    /// or durable record changes at all. A single run needs no undo:
+    /// one `update_batch` is atomic by the trait's contract. A store
     /// already swept when a later run fails is restored from a snapshot
-    /// handle taken under the locks; a single run needs none — one
-    /// `update_batch` is atomic by the trait's contract. (A WAL failure
-    /// poisons the durability engine instead: memory may be ahead of
-    /// disk, so the server refuses further commits.)
+    /// handle taken under the locks. (A WAL failure poisons the
+    /// durability engine instead: memory may be ahead of disk, so the
+    /// server refuses further commits.)
     fn commit_runs<R>(
         &mut self,
         runs: Vec<(String, Vec<UpdateOp>)>,
@@ -910,23 +784,9 @@ where
             .expect("single-threaded central server cannot conflict with itself");
 
         let result = (|| {
-            // 1. Mirror every op into the live catalog tables, keeping
-            //    each run's undo log: catalog-level conflicts surface
-            //    here, before any store mutates.
-            let mut cat_undo: Vec<(&str, Vec<CatalogUndo>)> = Vec::with_capacity(runs.len());
-            for (table, ops) in &runs {
-                let cat = self.catalog.get_mut(table).expect("catalog mirrors stores");
-                match mirror_ops(cat, ops) {
-                    Ok(log) => cat_undo.push((table, log)),
-                    Err(e) => {
-                        unmirror_runs(&mut self.catalog, cat_undo);
-                        return Err(e.into());
-                    }
-                }
-            }
-            // 2. Every run's signing sweep. With more than one run,
-            //    undo snapshots let a failing run roll the whole commit
-            //    back — never a table subset.
+            // Every run's signing sweep. With more than one run, undo
+            // snapshots let a failing run roll the whole commit back —
+            // never a table subset.
             let mut undo: BTreeMap<String, S::Store> = BTreeMap::new();
             let mut run_payloads: Vec<Vec<S::Delta>> = Vec::with_capacity(runs.len());
             for (table, ops) in &runs {
@@ -940,7 +800,6 @@ where
                         for (t, snapshot) in undo {
                             self.stores.insert(t, snapshot);
                         }
-                        unmirror_runs(&mut self.catalog, cat_undo);
                         return Err(CentralError::Scheme(e));
                     }
                 }
@@ -990,61 +849,6 @@ where
         self.durability_commit(&commit)?;
         Ok(acked)
     }
-
-    /// Enqueue one update into the group-commit queue, committing
-    /// whatever the queue's flush rules say is due: without
-    /// [`with_group_commit`](Self::with_group_commit) the op commits
-    /// immediately as a batch of one; with it, ops coalesce until
-    /// `max_batch` are pending or the oldest has waited
-    /// `commit_interval` clock ticks. Returns what *this* call
-    /// committed (often nothing — the op just joined the queue).
-    pub fn enqueue_update(
-        &mut self,
-        table: &str,
-        op: UpdateOp,
-    ) -> Result<Option<Commit<S::Delta>>, CentralError<S::Error>> {
-        if self.pending.is_empty() {
-            self.pending_since_clock = self.clock;
-        }
-        self.pending.push((table.to_string(), op));
-        let due = self.group_commit.is_none_or(|config| {
-            self.pending.len() >= config.max_batch
-                || self.clock.saturating_sub(self.pending_since_clock) >= config.commit_interval
-        });
-        if due {
-            self.flush_group_commit()
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Commit every pending group-commit op now, as **one** commit in
-    /// arrival order: a queue on a single table as one [`DeltaBatch`],
-    /// a queue that touches more than one table as one atomic
-    /// [`TxnBatch`] whose sections are the consecutive same-table runs.
-    /// Call this to bound commit latency when the enqueue-side triggers
-    /// have not fired. On failure *nothing* commits and the pending ops
-    /// are dropped with the error, exactly like a failed direct commit.
-    pub fn flush_group_commit(
-        &mut self,
-    ) -> Result<Option<Commit<S::Delta>>, CentralError<S::Error>> {
-        let pending = std::mem::take(&mut self.pending);
-        let Some((table, _)) = pending.first() else {
-            return Ok(None);
-        };
-        Ok(Some(if pending.iter().any(|(t, _)| t != table) {
-            Commit::Txn(self.commit_txn(Txn { staged: pending })?)
-        } else {
-            let table = table.clone();
-            let ops = pending.into_iter().map(|(_, op)| op).collect();
-            Commit::Batch(self.execute_update_batch(&table, ops)?)
-        }))
-    }
-
-    /// Ops waiting in the group-commit queue.
-    pub fn pending_commits(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 impl<S: AuthScheme> CentralServer<S> {
@@ -1063,23 +867,27 @@ impl<S: AuthScheme> CentralServer<S> {
             FreshnessStamp::sign(self.signer.as_ref(), self.log.next_seq(), self.clock),
         );
         // Rebuild (re-sign) every base-table store under the new key.
-        let names: Vec<String> = self.stores.keys().cloned().collect();
-        for name in names {
-            if let Some(table) = self.catalog.get(&name) {
-                let store = self.scheme.build(table, self.signer.as_ref());
-                self.stores.insert(name, store);
-            }
-        }
+        let resigned: Vec<(String, S::Store)> = self
+            .base_tables()
+            .map(|(name, store)| {
+                let table = self.scheme.table(store);
+                (
+                    name.clone(),
+                    self.scheme.build(&table, self.signer.as_ref()),
+                )
+            })
+            .collect();
+        self.stores.extend(resigned);
         // Views are derived; refresh them too.
         let defs = self.views.clone();
         for def in defs {
-            let (Some(lt), Some(rt)) = (
-                self.catalog.get(&def.left_table),
-                self.catalog.get(&def.right_table),
+            let (Ok(lt), Ok(rt)) = (
+                self.base_table(&def.left_table),
+                self.base_table(&def.right_table),
             ) else {
                 continue;
             };
-            if let Ok(view_table) = build_view_table(&def, lt, rt) {
+            if let Ok(view_table) = build_view_table(&def, &lt, &rt) {
                 let store = self.scheme.build(&view_table, self.signer.as_ref());
                 self.stores.insert(def.name.clone(), store);
             }
@@ -1097,15 +905,9 @@ impl<S: AuthScheme> CentralServer<S> {
             .cloned()
             .collect();
         for def in affected {
-            let lt = self
-                .catalog
-                .get(&def.left_table)
-                .ok_or_else(|| CentralError::UnknownTable(def.left_table.clone()))?;
-            let rt = self
-                .catalog
-                .get(&def.right_table)
-                .ok_or_else(|| CentralError::UnknownTable(def.right_table.clone()))?;
-            let view_table = build_view_table(&def, lt, rt)?;
+            let lt = self.base_table(&def.left_table)?;
+            let rt = self.base_table(&def.right_table)?;
+            let view_table = build_view_table(&def, &lt, &rt)?;
             let store = self.scheme.build(&view_table, self.signer.as_ref());
             self.stores.insert(def.name.clone(), store);
         }

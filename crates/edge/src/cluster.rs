@@ -180,7 +180,7 @@ impl ShardMap {
     }
 
     /// Drop `table`'s assignment (e.g. after the table was dropped
-    /// from the central catalog), shrinking its owner's load count.
+    /// from the central), shrinking its owner's load count.
     /// Returns the former owner.
     pub fn remove_table(&mut self, table: &str) -> Option<usize> {
         let owner = self.owners.remove(table)?;
@@ -403,10 +403,8 @@ where
                 disconnected: false,
             })
             .collect();
-        for table in central.catalog.iter() {
-            let name = table.schema().table.clone();
-            let owner = shard_map.assign(&name);
-            let source = central.stores.get(&name).expect("catalog mirrors stores");
+        for (name, source) in central.base_tables() {
+            let owner = shard_map.assign(name);
             // Edges never install state they have not verified — even
             // from a (crash-recovered) central in the same process, the
             // replica is rebuilt through the chunk-and-verify pipeline.
@@ -414,7 +412,7 @@ where
                 .expect("central's own store must restore cleanly");
             edges[owner]
                 .server
-                .install_table(name, table.schema().clone(), store);
+                .install_table(name.clone(), scheme.schema(source).clone(), store);
         }
         Self {
             central,
@@ -668,7 +666,7 @@ where
     /// edge (it simply snaps to the head).
     ///
     /// A table the shard map still assigns to this edge but that was
-    /// since dropped from the central catalog is not an error: the
+    /// since dropped from the central is not an error: the
     /// stale assignment is removed (shrinking this edge's load count)
     /// and the resubscribe continues.
     pub fn resubscribe_edge(&mut self, edge: usize) -> Result<(), ClusterError<S::Error>> {
@@ -691,7 +689,10 @@ where
                 self.shard_map.remove_table(&table);
                 continue;
             };
-            let source = self.central.store(&table).expect("catalog mirrors stores");
+            let source = self
+                .central
+                .store(&table)
+                .expect("a base table has a store");
             let store =
                 crate::sync::clone_verified(self.central.scheme(), source, verifier.clone())?;
             server.install_table(table, schema, store);
@@ -765,7 +766,7 @@ where
                 self.shard_map.remove_table(table);
                 continue;
             };
-            let source = self.central.store(table).expect("catalog mirrors stores");
+            let source = self.central.store(table).expect("a base table has a store");
             let store =
                 crate::sync::clone_verified(self.central.scheme(), source, verifier.clone())?;
             self.edges[standby]
@@ -803,11 +804,9 @@ where
     /// exactly caught up (a lagging or partitioned edge keeps its aging
     /// stamp and trips `FreshnessPolicy::max_age`).
     ///
-    /// Since the heartbeat also flushes pending group-commit runs that
-    /// have aged past `commit_interval`, the flushed entries are fanned
-    /// out to the subscription queues before the stamp is offered — an
-    /// edge with freshly queued work keeps its old stamp until it
-    /// drains.
+    /// Committed entries not yet fanned out reach the subscription
+    /// queues before the stamp is offered — an edge with queued work
+    /// keeps its old stamp until it drains.
     pub fn broadcast_heartbeat(&mut self) -> Result<(), ClusterError<S::Error>> {
         let stamp = self.central.heartbeat();
         self.fan_out()?;

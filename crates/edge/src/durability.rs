@@ -14,14 +14,15 @@
 //!   never rewind the logical clock below a freshness stamp already
 //!   handed out.
 //! * **Checkpoints** ([`vbx_storage::checkpoint`]): the full
-//!   recoverable state — authenticated stores, catalog, view
-//!   definitions, delta-log tail, stamp history, clock — serialised
-//!   through [`SlottedPage`](vbx_storage::SlottedPage)s into one
-//!   CRC-protected file, written atomically as `ckpt-<next_seq>`. The
-//!   previous checkpoint is kept until the new one is durable, so a
-//!   torn checkpoint write falls back instead of losing everything.
+//!   recoverable state — authenticated stores (the only copy of every
+//!   row), view definitions, delta-log tail, stamp history, clock —
+//!   appended as named sections into one flat, CRC-protected buffer,
+//!   written atomically as `ckpt-<next_seq>`. The previous checkpoint
+//!   is kept until the new one is durable, so a torn checkpoint write
+//!   falls back instead of losing everything.
 //! * **Recovery** ([`CentralServer::recover`]): load the newest valid
-//!   checkpoint, replay the WAL suffix (records at or past the
+//!   checkpoint (a checkpoint of another format version is refused,
+//!   and left on disk), replay the WAL suffix (records at or past the
 //!   checkpoint's position) through the scheme's deterministic
 //!   `apply_delta_batch` path, and truncate any torn tail — by
 //!   append-before-ack a torn record was never acked, so dropping it
@@ -30,13 +31,8 @@
 //!   ([`CentralServer::encode_state`]), which the crash-matrix tests
 //!   assert across every fault-injection point of
 //!   [`FailpointFs`](vbx_storage::FailpointFs).
-//!
-//! Group-commit ops still *queued* (enqueued but not yet flushed into a
-//! batch) are intentionally not WAL-protected: an op is durable exactly
-//! when its commit is acked, and `enqueue_update` acks only the flushed
-//! commit.
 
-use crate::central::{mirror_ops, CentralError, CentralServer, DeltaLog};
+use crate::central::{CentralError, CentralServer, DeltaLog};
 use crate::locks::LockManager;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -50,7 +46,7 @@ use vbx_crypto::{KeyRegistry, Signer};
 use vbx_query::JoinViewDef;
 use vbx_storage::wal::WAL_FILE;
 use vbx_storage::{
-    Catalog, CheckpointBuilder, CheckpointReader, StorageError, Table, Vfs, Wal, WalTail,
+    CheckpointBuilder, CheckpointError, CheckpointReader, StorageError, Vfs, Wal, WalTail,
 };
 
 /// Checkpoint file name prefix; the suffix is the zero-padded delta-log
@@ -72,8 +68,6 @@ pub struct DurabilityConfig {
     /// covers; the retained prefix lets tests replay the *full* history
     /// and assert checkpoint+suffix ≡ full-WAL replay.
     pub retain_wal: bool,
-    /// Page size for checkpoint serialisation (≥ 64).
-    pub page_size: usize,
 }
 
 impl Default for DurabilityConfig {
@@ -81,7 +75,6 @@ impl Default for DurabilityConfig {
         Self {
             checkpoint_every: 1024,
             retain_wal: false,
-            page_size: vbx_storage::checkpoint::DEFAULT_PAGE_SIZE,
         }
     }
 }
@@ -105,7 +98,7 @@ pub(crate) struct DurabilityEngine<S: AuthScheme> {
     /// server is replaced via recovery.
     failed: Option<StorageError>,
     encode_commit: fn(&S, u64, &Commit<S::Delta>) -> Vec<u8>,
-    build_image: fn(&CentralServer<S>, usize) -> Vec<u8>,
+    build_image: fn(&CentralServer<S>) -> Vec<u8>,
 }
 
 impl<S: AuthScheme> DurabilityEngine<S> {
@@ -134,7 +127,7 @@ impl<S: AuthScheme> DurabilityEngine<S> {
     /// reset — a crash anywhere in between leaves either the old
     /// checkpoint + full WAL or the new checkpoint, never neither.
     fn write_checkpoint(&mut self, central: &CentralServer<S>) -> Result<(), StorageError> {
-        let image = (self.build_image)(central, self.config.page_size);
+        let image = (self.build_image)(central);
         let name = format!("{CKPT_PREFIX}{:020}", central.delta_log().next_seq());
         self.vfs.write_atomic(&name, &image)?;
         if let Some(old) = self.checkpoint_file.take() {
@@ -274,15 +267,17 @@ impl<S: DurableScheme> CentralServer<S> {
 
     /// Deterministic byte fingerprint of the full recoverable state —
     /// exactly the checkpoint image. Two servers with equal
-    /// `encode_state()` hold byte-identical stores, catalog, views,
+    /// `encode_state()` hold byte-identical stores, views,
     /// delta-log tail, stamp history, and clock; the crash-matrix tests
     /// pin recovery on this.
     pub fn encode_state(&self) -> Vec<u8> {
-        checkpoint_image(self, vbx_storage::checkpoint::DEFAULT_PAGE_SIZE)
+        checkpoint_image(self)
     }
 
     /// Recover a central server from `vfs`: load the newest valid
-    /// checkpoint (a torn newest falls back to its kept predecessor),
+    /// checkpoint (a torn newest falls back to its kept predecessor;
+    /// one of another format version fails recovery with
+    /// [`CentralError::Durability`] and stays on disk),
     /// replay the WAL records past the checkpoint's position through
     /// the scheme's deterministic replica path, truncate any torn WAL
     /// tail, and resume logging. `signer` must hold the same key
@@ -294,7 +289,7 @@ impl<S: DurableScheme> CentralServer<S> {
         vfs: Arc<dyn Vfs>,
         config: DurabilityConfig,
     ) -> Result<Self, CentralError<S::Error>> {
-        // -- 1. newest valid checkpoint (invalid ones are removed) --
+        // -- 1. newest valid checkpoint (torn ones are removed) --
         let mut ckpts: Vec<String> = vfs
             .list()
             .map_err(CentralError::Durability)?
@@ -310,20 +305,27 @@ impl<S: DurableScheme> CentralServer<S> {
                 .unwrap_or_default();
             match CheckpointReader::parse(&bytes) {
                 Ok(reader) => {
-                    chosen = Some((name.clone(), reader));
+                    let server = restore_from_checkpoint(scheme, signer, &reader)?;
+                    chosen = Some((name.clone(), server));
                     break;
                 }
-                Err(_) => {
+                Err(CheckpointError::Version(v)) => {
+                    // Intact but unreadable by this build: refuse, and
+                    // keep the file — it may be the only checkpoint.
+                    return Err(corrupt(format!(
+                        "{name}: unsupported checkpoint version {v}"
+                    )));
+                }
+                Err(CheckpointError::Corrupt(_)) => {
                     // Torn checkpoint write: fall back to the previous
                     // one (kept durable until its successor landed).
                     vfs.remove(name).map_err(CentralError::Durability)?;
                 }
             }
         }
-        let Some((ckpt_name, reader)) = chosen else {
+        let Some((ckpt_name, mut server)) = chosen else {
             return Err(corrupt("no valid checkpoint found"));
         };
-        let mut server = restore_from_checkpoint(scheme, signer, &reader)?;
 
         // -- 2. replay the WAL suffix --
         let wal_bytes = vfs
@@ -399,22 +401,22 @@ impl<S: DurableScheme> CentralServer<S> {
     }
 
     /// Replay one commit section through the scheme's deterministic
-    /// replica path (`apply_delta_batch`), mirror its ops into the
-    /// catalog, and refresh affected views — the same side effects the
-    /// original commit had, minus locking (recovery is single-threaded)
-    /// and minus re-signing (payloads carry the original signatures).
+    /// replica path (`apply_delta_batch`) and refresh affected views —
+    /// the same side effects the original commit had, minus locking
+    /// (recovery is single-threaded) and minus re-signing (payloads
+    /// carry the original signatures).
     fn replay_section(
         &mut self,
         section: &DeltaBatch<S::Delta>,
     ) -> Result<(), CentralError<S::Error>> {
         let table = section.table.as_str();
-        let unknown = || CentralError::UnknownTable(table.to_string());
-        let store = self.stores.get_mut(table).ok_or_else(unknown)?;
+        let store = self
+            .stores
+            .get_mut(table)
+            .ok_or_else(|| CentralError::UnknownTable(table.to_string()))?;
         self.scheme
             .apply_delta_batch(store, &section.ops, &section.payloads, section.key_version)
             .map_err(CentralError::Scheme)?;
-        let cat = self.catalog.get_mut(table).ok_or_else(unknown)?;
-        mirror_ops(cat, &section.ops)?;
         self.refresh_views_for(table)
     }
 }
@@ -478,9 +480,10 @@ fn get_str(buf: &mut &[u8]) -> Result<String, StorageError> {
 
 /// Serialise the full recoverable state into one checkpoint image.
 /// Deterministic: `BTreeMap` iteration orders every section, and all
-/// signatures are stored, never re-derived.
-fn checkpoint_image<S: DurableScheme>(central: &CentralServer<S>, page_size: usize) -> Vec<u8> {
-    let mut builder = CheckpointBuilder::new(page_size);
+/// signatures are stored, never re-derived. The stores — nearly all of
+/// the image — are encoded straight into the image buffer.
+fn checkpoint_image<S: DurableScheme>(central: &CentralServer<S>) -> Vec<u8> {
+    let mut builder = CheckpointBuilder::new();
 
     let mut meta = Vec::with_capacity(64);
     put_u32(&mut meta, central.signer.key_version());
@@ -505,20 +508,13 @@ fn checkpoint_image<S: DurableScheme>(central: &CentralServer<S>, page_size: usi
     }
     builder.add("views", &views);
 
-    let mut catalog = Vec::new();
-    put_u32(&mut catalog, central.catalog.len() as u32);
-    for table in central.catalog.iter() {
-        table.encode_into(&mut catalog);
-    }
-    builder.add("catalog", &catalog);
-
-    let mut stores = Vec::new();
-    put_u32(&mut stores, central.stores.len() as u32);
-    for (name, store) in &central.stores {
-        put_str(&mut stores, name);
-        put_bytes(&mut stores, &central.scheme.encode_store(store));
-    }
-    builder.add("stores", &stores);
+    builder.add_with("stores", |out| {
+        put_u32(out, central.stores.len() as u32);
+        for (name, store) in &central.stores {
+            put_str(out, name);
+            put_bytes(out, &central.scheme.encode_store(store));
+        }
+    });
 
     // Delta-log tail: each entry as a full WAL record (clock 0 — the
     // real clock lives in "meta"), so one codec covers both files.
@@ -588,13 +584,6 @@ fn restore_from_checkpoint<S: DurableScheme>(
         views.push(def);
     }
 
-    let mut cat_buf = section("catalog")?;
-    let n_tables = get_u32(&mut cat_buf)?;
-    let mut catalog = Catalog::new();
-    for _ in 0..n_tables {
-        catalog.put(Table::decode(&mut cat_buf)?);
-    }
-
     let mut stores_buf = section("stores")?;
     let n_stores = get_u32(&mut stores_buf)?;
     let mut stores = BTreeMap::new();
@@ -639,16 +628,12 @@ fn restore_from_checkpoint<S: DurableScheme>(
         scheme,
         signer,
         registry,
-        catalog,
         stores,
         views,
         locks: LockManager::new(),
         log,
         stamps,
         stamp_commits,
-        group_commit: None,
-        pending: Vec::new(),
-        pending_since_clock: clock,
         clock,
         durability: None,
     })

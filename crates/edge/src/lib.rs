@@ -53,9 +53,7 @@ pub mod service;
 pub mod snapshot;
 pub mod sync;
 
-pub use central::{
-    CentralError, CentralServer, DeltaLog, DeltaLogError, EdgeBundle, GroupCommitConfig, Txn,
-};
+pub use central::{CentralError, CentralServer, DeltaLog, DeltaLogError, EdgeBundle, Txn};
 pub use client::{ClientError, EdgeClient, KeyFreshnessPolicy, SchemeClient, SchemeClientError};
 pub use cluster::{
     ClusterConfig, ClusterCoordinator, ClusterError, EdgeLag, RoutedResponse, ShardMap,

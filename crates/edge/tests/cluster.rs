@@ -790,7 +790,7 @@ fn resubscribe_after_dropped_table_removes_the_stale_assignment() {
     c.sync().unwrap();
     assert_eq!(c.shard_map().num_tables(), 2);
 
-    // Drop t1 from the central catalog while the shard map still
+    // Drop t1 from the central while the shard map still
     // assigns it, then force the edge through resubscription. The old
     // code panicked on the missing schema; now the stale assignment is
     // removed and the load count shrinks.

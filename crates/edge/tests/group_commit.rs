@@ -1,6 +1,6 @@
 //! The group-commit write pipeline, end to end: batched commits at the
-//! central server (one signing sweep + one stamp for `k` ops), the
-//! opt-in coalescing queue, batch replay at the edge (one snapshot
+//! central server (one signing sweep + one stamp for `k` ops), batch
+//! atomicity on the baselines, batch replay at the edge (one snapshot
 //! clone + one swap + one cache invalidation), single-envelope cluster
 //! fan-out with range placeholders, and — via the new generic
 //! `SchemeClient::verify_range_fresh` — staleness detection for the
@@ -16,8 +16,8 @@ use vbx_core::{
 use vbx_crypto::signer::MockSigner;
 use vbx_crypto::Acc256;
 use vbx_edge::{
-    CentralServer, ClusterConfig, ClusterCoordinator, Commit, DeltaBatch, EdgeServer,
-    GroupCommitConfig, KeyFreshnessPolicy, SchemeClient, SchemeClientError, TxnBatch, UpdateOp,
+    CentralServer, ClusterConfig, ClusterCoordinator, EdgeServer, KeyFreshnessPolicy, SchemeClient,
+    SchemeClientError, UpdateOp,
 };
 use vbx_storage::workload::WorkloadSpec;
 use vbx_storage::{Schema, Table, Tuple, Value};
@@ -33,24 +33,6 @@ fn fresh_tuple(schema: &Schema, key: u64) -> Tuple {
         ],
     )
     .expect("schema-conformant tuple")
-}
-
-/// What a flush committed, which must be a single-table batch.
-fn flushed_batch<P>(flushed: Option<Commit<P>>) -> Arc<DeltaBatch<P>> {
-    match flushed {
-        Some(Commit::Batch(batch)) => batch,
-        Some(Commit::Txn(_)) => panic!("a single-table flush commits a plain batch"),
-        None => panic!("the flush must commit"),
-    }
-}
-
-/// What a flush committed, which must be a multi-table txn.
-fn flushed_txn<P>(flushed: Option<Commit<P>>) -> Arc<TxnBatch<P>> {
-    match flushed {
-        Some(Commit::Txn(txn)) => txn,
-        Some(Commit::Batch(_)) => panic!("a multi-table flush commits one atomic txn"),
-        None => panic!("the flush must commit"),
-    }
 }
 
 fn items_table(rows: u64) -> Table {
@@ -226,7 +208,7 @@ fn batch_out_of_order_and_empty_batches() {
 }
 
 // ---------------------------------------------------------------------
-// The opt-in coalescing queue
+// Baseline batch atomicity
 // ---------------------------------------------------------------------
 
 #[test]
@@ -234,8 +216,8 @@ fn failed_baseline_batch_restores_store_and_catalog() {
     // The plain per-op loop is not atomic on its own: the baselines
     // override `update_batch` with `update_batch_atomic` so a failing
     // op restores the pre-batch store — otherwise the never-logged
-    // prefix would silently diverge the central store from its catalog
-    // and every replica.
+    // prefix would silently diverge the central store, the only copy of
+    // its rows, from the log and every replica.
     let signer = Arc::new(MockSigner::with_version(0x76, 1));
     let table = WorkloadSpec {
         table: "n".into(),
@@ -247,12 +229,12 @@ fn failed_baseline_batch_restores_store_and_catalog() {
     central.create_table(table);
     let len_before = central.store("n").unwrap().len();
 
-    // Delete(3) applies, then Delete(999_999) fails — in the catalog
-    // mirror, which runs first and reports on every entry point.
+    // Delete(3) applies, then Delete(999_999) fails in the store's own
+    // atomic batch, which reports the scheme's error.
     let err = central
         .execute_update_batch("n", vec![UpdateOp::Delete(3), UpdateOp::Delete(999_999)])
         .unwrap_err();
-    assert!(matches!(err, vbx_edge::CentralError::Storage(_)));
+    assert!(matches!(err, vbx_edge::CentralError::Scheme(_)));
     assert_eq!(
         central.store("n").unwrap().len(),
         len_before,
@@ -266,203 +248,6 @@ fn failed_baseline_batch_restores_store_and_catalog() {
         .expect("restored store accepts the valid prefix again");
     assert_eq!(batch.len(), 1);
     assert_eq!(central.store("n").unwrap().len(), len_before - 1);
-}
-
-#[test]
-fn group_commit_queue_coalesces_to_max_batch() {
-    let signer = Arc::new(MockSigner::with_version(0x6E, 1));
-    let mut central =
-        CentralServer::new(Acc256::test_default(), signer, VbTreeConfig::with_fanout(6))
-            .with_group_commit(GroupCommitConfig {
-                max_batch: 4,
-                commit_interval: u64::MAX,
-            });
-    central.create_table(items_table(40));
-    let schema = central.tree("items").unwrap().schema().clone();
-    let edge = EdgeServer::from_bundle(central.bundle());
-
-    // Three enqueues: nothing commits yet.
-    for i in 0..3u64 {
-        let flushed = central
-            .enqueue_update("items", UpdateOp::Insert(fresh_tuple(&schema, 700 + i)))
-            .unwrap();
-        assert!(flushed.is_none(), "below max_batch nothing may commit");
-    }
-    assert_eq!(central.pending_commits(), 3);
-    assert_eq!(central.delta_log().next_seq(), 0);
-
-    // The fourth reaches max_batch: one 4-op batch commits.
-    let flushed = central
-        .enqueue_update("items", UpdateOp::Delete(7))
-        .unwrap();
-    let batch = flushed_batch(flushed);
-    assert_eq!(batch.len(), 4);
-    assert_eq!(central.pending_commits(), 0);
-    assert_eq!(central.delta_log().next_seq(), 4);
-    edge.apply_delta_batch(&batch).unwrap();
-    assert_eq!(edge.applied_seq(), 4);
-    assert!(edge.tree("items").unwrap().get(700).is_some());
-    assert!(edge.tree("items").unwrap().get(7).is_none());
-}
-
-#[test]
-fn group_commit_flush_groups_multi_table_runs_into_one_txn() {
-    let signer = Arc::new(MockSigner::with_version(0x6F, 1));
-    let mut central =
-        CentralServer::new(Acc256::test_default(), signer, VbTreeConfig::with_fanout(6))
-            .with_group_commit(GroupCommitConfig {
-                max_batch: 16,
-                commit_interval: u64::MAX,
-            });
-    central.create_table(items_table(40));
-    central.create_table({
-        let mut spec = WorkloadSpec::new(40, 3, 8);
-        spec.table = "other".into();
-        spec.build()
-    });
-    let schema = central.tree("items").unwrap().schema().clone();
-    let other_schema = central.tree("other").unwrap().schema().clone();
-
-    // a a b b b a → three single-table runs, arrival order preserved.
-    central
-        .enqueue_update("items", UpdateOp::Insert(fresh_tuple(&schema, 800)))
-        .unwrap();
-    central
-        .enqueue_update("items", UpdateOp::Insert(fresh_tuple(&schema, 801)))
-        .unwrap();
-    for i in 0..3u64 {
-        central
-            .enqueue_update(
-                "other",
-                UpdateOp::Insert(fresh_tuple(&other_schema, 810 + i)),
-            )
-            .unwrap();
-    }
-    central
-        .enqueue_update("items", UpdateOp::Delete(5))
-        .unwrap();
-    let txn = flushed_txn(central.flush_group_commit().unwrap());
-    assert_eq!(
-        txn.sections
-            .iter()
-            .map(|b| (b.table.as_str(), b.len(), b.start_seq))
-            .collect::<Vec<_>>(),
-        vec![("items", 2, 0), ("other", 3, 2), ("items", 1, 5)],
-        "txn sections keep consecutive same-table runs in arrival order"
-    );
-    assert!(
-        txn.is_contiguous(),
-        "sections must chain seamlessly through the seq space"
-    );
-    assert_eq!(central.pending_commits(), 0);
-    assert_eq!(central.delta_log().next_seq(), 6);
-}
-
-#[test]
-fn group_commit_interval_flushes_aged_ops() {
-    let signer = Arc::new(MockSigner::with_version(0x70, 1));
-    let mut central =
-        CentralServer::new(Acc256::test_default(), signer, VbTreeConfig::with_fanout(6))
-            .with_group_commit(GroupCommitConfig {
-                max_batch: 1_000,
-                commit_interval: 2,
-            });
-    central.create_table(items_table(40));
-    let schema = central.tree("items").unwrap().schema().clone();
-
-    central
-        .enqueue_update("items", UpdateOp::Insert(fresh_tuple(&schema, 820)))
-        .unwrap();
-    assert_eq!(central.pending_commits(), 1);
-    // One clock tick is below the interval: the op stays queued.
-    central.heartbeat();
-    assert_eq!(central.pending_commits(), 1);
-    // The second tick ages it past the interval and the heartbeat
-    // itself flushes the run — a quiet queue no longer holds a pending
-    // op hostage until the next enqueue arrives.
-    central.heartbeat();
-    assert_eq!(central.pending_commits(), 0);
-    assert_eq!(central.delta_log().next_seq(), 1);
-
-    // The enqueue-side trigger still works when the clock advances
-    // through commits rather than heartbeats.
-    central
-        .enqueue_update("items", UpdateOp::Insert(fresh_tuple(&schema, 821)))
-        .unwrap();
-    central.heartbeat();
-    central.heartbeat();
-    assert_eq!(
-        central.pending_commits(),
-        0,
-        "every aged run flushes without an enqueue"
-    );
-    assert_eq!(central.delta_log().next_seq(), 2);
-}
-
-#[test]
-fn failed_multi_table_flush_drops_the_whole_txn() {
-    let signer = Arc::new(MockSigner::with_version(0x74, 1));
-    let mut central =
-        CentralServer::new(Acc256::test_default(), signer, VbTreeConfig::with_fanout(6))
-            .with_group_commit(GroupCommitConfig {
-                max_batch: 16,
-                commit_interval: u64::MAX,
-            });
-    central.create_table(items_table(40));
-    let schema = central.tree("items").unwrap().schema().clone();
-    let edge = EdgeServer::from_bundle(central.bundle());
-
-    // Run 1 (items), run 2 (missing table), run 3 (items again): the
-    // grouped flush is one atomic txn, so the bad middle run aborts
-    // the *whole* thing — no partial-flush surface, no half-commit.
-    central
-        .enqueue_update("items", UpdateOp::Insert(fresh_tuple(&schema, 840)))
-        .unwrap();
-    central
-        .enqueue_update("ghost", UpdateOp::Delete(1))
-        .unwrap();
-    central
-        .enqueue_update("items", UpdateOp::Delete(7))
-        .unwrap();
-    let err = central.flush_group_commit().unwrap_err();
-    assert!(matches!(
-        err,
-        vbx_edge::CentralError::UnknownTable(ref t) if t == "ghost"
-    ));
-    assert_eq!(central.delta_log().next_seq(), 0, "nothing may be logged");
-    assert_eq!(
-        central.pending_commits(),
-        0,
-        "the failed txn's ops are dropped as a unit, not re-queued"
-    );
-
-    // The untouched central accepts a clean commit afterwards, and the
-    // dropped txn's insert never surfaces.
-    central
-        .enqueue_update("items", UpdateOp::Delete(7))
-        .unwrap();
-    let retried = flushed_batch(central.flush_group_commit().unwrap());
-    edge.apply_delta_batch(&retried).unwrap();
-    assert!(edge.tree("items").unwrap().get(7).is_none());
-    assert!(
-        edge.tree("items").unwrap().get(840).is_none(),
-        "an op from the aborted txn must never commit"
-    );
-    assert_eq!(edge.applied_seq(), central.delta_log().next_seq());
-}
-
-#[test]
-fn enqueue_without_group_commit_commits_immediately() {
-    let signer = Arc::new(MockSigner::with_version(0x71, 1));
-    let mut central =
-        CentralServer::new(Acc256::test_default(), signer, VbTreeConfig::with_fanout(6));
-    central.create_table(items_table(40));
-    let schema = central.tree("items").unwrap().schema().clone();
-    let flushed = central
-        .enqueue_update("items", UpdateOp::Insert(fresh_tuple(&schema, 830)))
-        .unwrap();
-    assert_eq!(flushed_batch(flushed).len(), 1);
-    assert_eq!(central.delta_log().next_seq(), 1);
 }
 
 // ---------------------------------------------------------------------

@@ -138,7 +138,6 @@ fn config() -> DurabilityConfig {
     DurabilityConfig {
         checkpoint_every: 5,
         retain_wal: false,
-        page_size: 256,
     }
 }
 
@@ -562,10 +561,11 @@ fn torn_commit_txn_never_recovers_a_table_subset() {
 
 #[test]
 fn failed_commit_txn_rolls_back_to_the_byte() {
-    // The catalog half of a txn's undo is an op log replayed backwards,
-    // not a table copy: after a conflict anywhere in the txn the full
-    // recoverable state, the WAL and the delta log must be exactly what
-    // they were, and the next valid txn must land where it would have.
+    // A txn's undo is each store's own atomic batch plus snapshots of
+    // the runs already swept: after a conflict anywhere in the txn the
+    // full recoverable state, the WAL and the delta log must be exactly
+    // what they were, and the next valid txn must land where it would
+    // have.
     let durable = || {
         let signer: Arc<dyn Signer> = Arc::new(MockSigner::new(31));
         let vfs = Arc::new(MemVfs::new());
@@ -619,7 +619,7 @@ fn failed_commit_txn_rolls_back_to_the_byte() {
             txn.stage(table, op);
         }
         let err = central.commit_txn(txn).expect_err(what);
-        assert!(matches!(err, CentralError::Storage(_)), "{what}: {err}");
+        assert!(matches!(err, CentralError::Scheme(_)), "{what}: {err}");
         let after = (
             central.encode_state(),
             vfs.read(WAL_FILE).expect("readable WAL"),
@@ -645,6 +645,39 @@ fn failed_commit_txn_rolls_back_to_the_byte() {
     }
 }
 
+#[test]
+fn checkpoint_of_another_version_is_refused_and_kept() {
+    // A torn checkpoint is deleted and recovery falls back; an intact
+    // one of another format version must not be, or recovering a
+    // directory written by an older build would destroy its only
+    // checkpoint.
+    let vfs = Arc::new(MemVfs::new());
+    let mut old = b"VCKP1\x00".to_vec();
+    old.extend_from_slice(&[0, 0, 16, 0, 0, 0, 0, 1, 0xDE, 0xAD, 0xBE, 0xEF]);
+    old.resize(old.len() + 4096, 0);
+    let name = format!("ckpt-{:020}", 0);
+    vfs.write_atomic(&name, &old).unwrap();
+    let signer: Arc<dyn Signer> = Arc::new(MockSigner::new(41));
+    let err = match CentralServer::recover(vb(), signer, vfs.clone(), config()) {
+        Ok(_) => panic!("an old-format checkpoint must not recover"),
+        Err(e) => e,
+    };
+    assert!(
+        matches!(&err, CentralError::Durability(e) if e.to_string().contains("version 1")),
+        "the refusal names the version, got {err}"
+    );
+    assert_eq!(vfs.list().unwrap(), vec![name.clone()], "the file stays");
+    assert_eq!(vfs.read(&name).unwrap(), Some(old));
+
+    // A torn current-format file next to it still falls back to it —
+    // and so reaches the refusal, rather than deleting both.
+    let torn = format!("ckpt-{:020}", 9);
+    vfs.write_atomic(&torn, b"VCKP2\x00\x00").unwrap();
+    let signer: Arc<dyn Signer> = Arc::new(MockSigner::new(41));
+    assert!(CentralServer::recover(vb(), signer, vfs.clone(), config()).is_err());
+    assert_eq!(vfs.list().unwrap(), vec![name]);
+}
+
 /// Lower-case hex SHA-256, for the byte pins below.
 fn sha256_hex(bytes: &[u8]) -> String {
     let digest = vbx_crypto::hash::sha256(bytes);
@@ -653,16 +686,17 @@ fn sha256_hex(bytes: &[u8]) -> String {
 
 #[test]
 fn commit_bytes_are_pinned() {
-    // One commit engine must not move a byte of the two envelopes that
-    // stay: a fixed script of batches and txns on `VbScheme<4>` under
-    // the RSA-512 fixture key (deterministic signatures) hashes to the
-    // values measured at the commit before the engines were merged.
+    // A fixed script of batches and txns on `VbScheme<4>` under the
+    // RSA-512 fixture key (deterministic signatures). The WAL file and
+    // the two envelopes hash to the values measured before the commit
+    // engines were merged. The state was re-pinned when the checkpoint
+    // became one flat `VCKP2` buffer without a row mirror; the
+    // checkpoint file is exactly `encode_state()`, so both pins agree.
     let signer: Arc<dyn Signer> = Arc::new(vbx_crypto::rsa::fixture_keypair_crt_512());
     let vfs = Arc::new(MemVfs::new());
     let config = DurabilityConfig {
         checkpoint_every: 0,
         retain_wal: true,
-        page_size: 256,
     };
     let mut central = CentralServer::with_scheme(vb(), signer)
         .with_delta_retention(RETENTION)
@@ -732,8 +766,8 @@ fn commit_bytes_are_pinned() {
     ];
     let want = [
         "bb513bfdece7d938235cafec69058ee1240726af11e2db4b050ca49aecb93dfa",
-        "53e5759679901259d67ec71527bbdb5fb99cdb50d8de7282dc6450d8582fbf9a",
-        "d1b9c26fb6cbde282812ac9591cf957a805d73135966a3a7581994d71f62bd42",
+        "baba8b6fce453fc810ab93781203f27eb9a2d936d3e7dfff68b1da51a3febf80",
+        "baba8b6fce453fc810ab93781203f27eb9a2d936d3e7dfff68b1da51a3febf80",
         "63dfee3111c8e37c4d611bfaade9a24b0db34472ef9bb0a74f861e19b293c4bd",
     ];
     for ((what, got), want) in got.iter().zip(want) {
@@ -778,12 +812,10 @@ where
     }
 }
 
-/// Regression for store-before-catalog ordering: the single-op and batch
-/// paths used to sweep the store and only then mirror the catalog, with
-/// nothing to roll the store back. A row the store accepts but the
-/// catalog refuses (the Merkle store does not type-check rows) then
-/// returned `Err` with the store already ahead of catalog, log, WAL and
-/// replicas. Every entry point now mirrors first, under the undo log.
+/// Every entry point refuses a bad op through the store's own atomic
+/// batch, with no trace: the store is the only copy of its rows, so
+/// each scheme must refuse a mistyped row itself (the Naive and Merkle
+/// stores type-check inserted rows) before anything mutates.
 fn refused_commits_leave_no_trace<S: DurableScheme + Clone>(scheme: S, label: &str)
 where
     S::Store: Clone,
@@ -830,8 +862,8 @@ where
             );
             let err = commit_via(&mut central, entry, valid(800 + before.2), op).expect_err(&ctx);
             assert!(
-                matches!(err, CentralError::Storage(_)),
-                "{ctx} every entry point reports the catalog's error, got {err}"
+                matches!(err, CentralError::Scheme(_)),
+                "{ctx} every entry point reports the store's error, got {err}"
             );
             let after = (
                 central.encode_state(),

@@ -114,7 +114,6 @@ where
     let config = DurabilityConfig {
         checkpoint_every,
         retain_wal: true,
-        page_size: 256,
     };
     let fps = Arc::new(FailpointFs::new());
     let mut durable = CentralServer::with_scheme(scheme.clone(), signer.clone())

@@ -1,4 +1,4 @@
-//! Checkpoint files: named byte sections chunked across [`SlottedPage`]s.
+//! Checkpoint files: named byte sections in one CRC-protected buffer.
 //!
 //! A checkpoint is a point-in-time snapshot of the central's durable
 //! state — table stores, the `DeltaLog` tail, the freshness-stamp
@@ -9,235 +9,181 @@
 //! ## On-disk format
 //!
 //! ```text
-//! file  := "VCKP1" 0x00 [u32 page_size][u32 n_pages][u32 crc32(pages)] page*
-//! page  := SlottedPage bytes (page_size each)
-//! slot  := chunk
-//! chunk := 0x01 [u16 key_len][key][u32 value_len] data   (first chunk)
-//!        | 0x00 data                                     (continuation)
+//! file    := "VCKP2" 0x00 [u64 body_len][u32 crc32(body)] body
+//! body    := section*
+//! section := [u16 key_len][key][u32 len] bytes
 //! ```
 //!
-//! Sections larger than a page are split across as many chunks (and
-//! pages) as needed; chunks of different sections never interleave. The
-//! whole-file CRC makes a torn checkpoint (non-atomic filesystem)
-//! detectable, so recovery can fall back to the previous checkpoint —
-//! the writer keeps the prior file until the new one is durable.
+//! The file is written atomically and read whole, so the whole-body CRC
+//! is the only framing it needs: it makes a torn checkpoint
+//! (non-atomic filesystem) detectable, so recovery can fall back to the
+//! previous checkpoint — the writer keeps the prior file until the new
+//! one is durable. A file carrying another `VCKP` version is reported as
+//! [`CheckpointError::Version`], never as a torn write, so recovery can
+//! refuse it instead of discarding it.
 
-use crate::page::SlottedPage;
-use crate::StorageError;
+/// Magic prefix shared by every checkpoint version.
+const FAMILY: &[u8; 4] = b"VCKP";
+const MAGIC: &[u8; 6] = b"VCKP2\x00";
+const HEADER_LEN: usize = MAGIC.len() + 8 + 4;
 
-const MAGIC: &[u8; 6] = b"VCKP1\x00";
-const HEADER_LEN: usize = MAGIC.len() + 12;
-
-/// Default page size for checkpoint files (the paper's 4 KB block).
-pub const DEFAULT_PAGE_SIZE: usize = 4096;
-
-/// Per-chunk header overhead of a first chunk with `key_len` key bytes.
-fn first_chunk_header(key_len: usize) -> usize {
-    1 + 2 + key_len + 4
+/// Why a checkpoint image was refused.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CheckpointError {
+    /// A checkpoint of another format version: intact, but not readable
+    /// by this build.
+    Version(String),
+    /// Framing damage — short header, wrong magic, length or CRC
+    /// mismatch, a section running past the body. This is how a torn
+    /// checkpoint write is detected.
+    Corrupt(String),
 }
 
-/// Streaming writer: feed `(key, bytes)` sections, then
-/// [`finish`](Self::finish) into a single validated byte image.
+impl core::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            CheckpointError::Version(v) => write!(f, "unsupported checkpoint version {v}"),
+            CheckpointError::Corrupt(m) => write!(f, "corrupt checkpoint: {m}"),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+/// Streaming writer: append `(key, bytes)` sections in place, then
+/// [`finish`](Self::finish) into the checkpoint image.
 pub struct CheckpointBuilder {
-    page_size: usize,
-    pages: Vec<SlottedPage>,
+    buf: Vec<u8>,
+}
+
+impl Default for CheckpointBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl CheckpointBuilder {
-    /// A builder emitting pages of `page_size` bytes (≥ 64).
-    pub fn new(page_size: usize) -> Self {
-        assert!(page_size >= 64, "checkpoint page too small");
-        Self {
-            page_size,
-            pages: vec![SlottedPage::new(page_size)],
-        }
+    /// An empty checkpoint.
+    pub fn new() -> Self {
+        let mut buf = Vec::with_capacity(4096);
+        buf.extend_from_slice(MAGIC);
+        buf.resize(HEADER_LEN, 0);
+        Self { buf }
     }
 
-    fn free_space(&self) -> usize {
-        self.pages.last().unwrap().free_space()
-    }
-
-    fn fresh_page(&mut self) {
-        self.pages.push(SlottedPage::new(self.page_size));
-    }
-
-    fn push_chunk(&mut self, chunk: &[u8]) {
-        if self.pages.last_mut().unwrap().push(chunk).is_err() {
-            self.fresh_page();
-            self.pages
-                .last_mut()
-                .unwrap()
-                .push(chunk)
-                .expect("chunk sized to fit an empty page");
-        }
-    }
-
-    /// Append one section. Keys must be unique and ≤ `u16::MAX` bytes.
+    /// Append one section. Keys must be unique and ≤ `u16::MAX` bytes;
+    /// values must be < 4 GiB.
     pub fn add(&mut self, key: &str, value: &[u8]) {
+        self.add_with(key, |out| out.extend_from_slice(value));
+    }
+
+    /// Append one section whose bytes `write` encodes straight into the
+    /// image buffer — no intermediate copy of the section.
+    pub fn add_with(&mut self, key: &str, write: impl FnOnce(&mut Vec<u8>)) {
         let key = key.as_bytes();
-        let header = first_chunk_header(key.len());
-        assert!(
-            header + 16 < self.page_size - 8,
-            "section key too long for page size"
-        );
-        // Make sure the first chunk has room for its header plus at
-        // least one data byte (or the whole value when empty).
-        if self.free_space() < header + usize::from(!value.is_empty()) {
-            self.fresh_page();
-        }
-        let mut first_cap = self.free_space().saturating_sub(header);
-        if first_cap == 0 && !value.is_empty() {
-            self.fresh_page();
-            first_cap = self.free_space() - header;
-        }
-        let take = value.len().min(first_cap);
-        let mut chunk = Vec::with_capacity(header + take);
-        chunk.push(1u8);
-        chunk.extend_from_slice(&(key.len() as u16).to_be_bytes());
-        chunk.extend_from_slice(key);
-        chunk.extend_from_slice(&(value.len() as u32).to_be_bytes());
-        chunk.extend_from_slice(&value[..take]);
-        self.push_chunk(&chunk);
-        let mut rest = &value[take..];
-        while !rest.is_empty() {
-            if self.free_space() <= 1 {
-                self.fresh_page();
-            }
-            let take = rest.len().min(self.free_space() - 1);
-            let mut chunk = Vec::with_capacity(1 + take);
-            chunk.push(0u8);
-            chunk.extend_from_slice(&rest[..take]);
-            self.push_chunk(&chunk);
-            rest = &rest[take..];
-        }
+        let key_len = u16::try_from(key.len()).expect("checkpoint section key ≤ u16::MAX");
+        self.buf.extend_from_slice(&key_len.to_be_bytes());
+        self.buf.extend_from_slice(key);
+        let len_at = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        write(&mut self.buf);
+        let len = u32::try_from(self.buf.len() - len_at - 4).expect("checkpoint section < 4 GiB");
+        self.buf[len_at..len_at + 4].copy_from_slice(&len.to_be_bytes());
     }
 
-    /// Serialise header + pages into the final checkpoint image.
-    pub fn finish(self) -> Vec<u8> {
-        let mut pages_bytes = Vec::with_capacity(self.pages.len() * self.page_size);
-        for p in &self.pages {
-            pages_bytes.extend_from_slice(p.as_bytes());
-        }
-        let mut out = Vec::with_capacity(HEADER_LEN + pages_bytes.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(self.page_size as u32).to_be_bytes());
-        out.extend_from_slice(&(self.pages.len() as u32).to_be_bytes());
-        out.extend_from_slice(&crate::wal::crc32(&pages_bytes).to_be_bytes());
-        out.extend_from_slice(&pages_bytes);
-        out
+    /// Seal the header (body length and CRC) and return the image.
+    pub fn finish(mut self) -> Vec<u8> {
+        let body_len = (self.buf.len() - HEADER_LEN) as u64;
+        let crc = crate::wal::crc32(&self.buf[HEADER_LEN..]);
+        let at = MAGIC.len();
+        self.buf[at..at + 8].copy_from_slice(&body_len.to_be_bytes());
+        self.buf[at + 8..HEADER_LEN].copy_from_slice(&crc.to_be_bytes());
+        self.buf
     }
 }
 
-/// Parsed checkpoint: ordered `(key, bytes)` sections.
-pub struct CheckpointReader {
-    sections: Vec<(String, Vec<u8>)>,
+/// Parsed checkpoint: ordered `(key, bytes)` sections borrowed from the
+/// image.
+pub struct CheckpointReader<'a> {
+    sections: Vec<(&'a str, &'a [u8])>,
 }
 
-impl CheckpointReader {
-    /// Parse and validate a checkpoint image. Any framing damage —
-    /// short header, wrong magic, size mismatch, CRC mismatch, chunk
-    /// stream errors — returns [`StorageError::Corrupt`]; this is how a
-    /// torn checkpoint on a non-atomic filesystem is detected.
-    pub fn parse(bytes: &[u8]) -> Result<Self, StorageError> {
-        let corrupt = |m: &str| StorageError::Corrupt(format!("checkpoint: {m}"));
+impl<'a> CheckpointReader<'a> {
+    /// Validate a checkpoint image and index its sections. Never
+    /// panics: a file of another `VCKP` version is
+    /// [`CheckpointError::Version`]; any other damage is
+    /// [`CheckpointError::Corrupt`].
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, CheckpointError> {
+        let corrupt = |m: &str| CheckpointError::Corrupt(m.to_string());
+        if bytes.len() >= MAGIC.len()
+            && bytes.starts_with(FAMILY)
+            && bytes[..MAGIC.len()] != MAGIC[..]
+        {
+            let version = &bytes[FAMILY.len()..MAGIC.len()];
+            let version = version.strip_suffix(&[0]).unwrap_or(version);
+            return Err(CheckpointError::Version(
+                String::from_utf8_lossy(version).escape_debug().to_string(),
+            ));
+        }
         if bytes.len() < HEADER_LEN {
             return Err(corrupt("short header"));
         }
-        if &bytes[..MAGIC.len()] != MAGIC {
+        if bytes[..MAGIC.len()] != MAGIC[..] {
             return Err(corrupt("bad magic"));
         }
         let at = MAGIC.len();
-        let page_size = u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-        let n_pages = u32::from_be_bytes(bytes[at + 4..at + 8].try_into().unwrap()) as usize;
-        let crc = u32::from_be_bytes(bytes[at + 8..at + 12].try_into().unwrap());
-        if page_size < 64 || page_size > u16::MAX as usize {
-            return Err(corrupt("bad page size"));
+        let body_len = u64::from_be_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        let crc = u32::from_be_bytes(bytes[at + 8..HEADER_LEN].try_into().expect("4 bytes"));
+        let mut body = &bytes[HEADER_LEN..];
+        if body.len() as u64 != body_len {
+            return Err(corrupt("body length mismatch"));
         }
-        let pages_bytes = &bytes[HEADER_LEN..];
-        if pages_bytes.len() != n_pages * page_size {
-            return Err(corrupt("page area size mismatch"));
-        }
-        if crate::wal::crc32(pages_bytes) != crc {
+        if crate::wal::crc32(body) != crc {
             return Err(corrupt("crc mismatch"));
         }
-        let mut sections: Vec<(String, Vec<u8>)> = Vec::new();
-        // (key, total_len, bytes so far) of the section being reassembled.
-        let mut open: Option<(String, usize, Vec<u8>)> = None;
-        for i in 0..n_pages {
-            let page =
-                SlottedPage::from_bytes(pages_bytes[i * page_size..(i + 1) * page_size].to_vec())?;
-            for chunk in page.iter() {
-                if chunk.is_empty() {
-                    return Err(corrupt("empty chunk"));
-                }
-                match chunk[0] {
-                    1 => {
-                        if let Some((key, total, data)) = open.take() {
-                            if data.len() != total {
-                                return Err(corrupt(&format!("section {key} truncated")));
-                            }
-                            sections.push((key, data));
-                        }
-                        if chunk.len() < 3 {
-                            return Err(corrupt("short first chunk"));
-                        }
-                        let key_len = u16::from_be_bytes(chunk[1..3].try_into().unwrap()) as usize;
-                        if chunk.len() < 3 + key_len + 4 {
-                            return Err(corrupt("short first chunk key"));
-                        }
-                        let key = String::from_utf8(chunk[3..3 + key_len].to_vec())
-                            .map_err(|_| corrupt("non-utf8 key"))?;
-                        let total = u32::from_be_bytes(
-                            chunk[3 + key_len..3 + key_len + 4].try_into().unwrap(),
-                        ) as usize;
-                        let data = chunk[3 + key_len + 4..].to_vec();
-                        if data.len() > total {
-                            return Err(corrupt("chunk overflows section"));
-                        }
-                        open = Some((key, total, data));
-                    }
-                    0 => match open.as_mut() {
-                        Some((_, total, data)) => {
-                            data.extend_from_slice(&chunk[1..]);
-                            if data.len() > *total {
-                                return Err(corrupt("chunk overflows section"));
-                            }
-                        }
-                        None => return Err(corrupt("continuation without section")),
-                    },
-                    _ => return Err(corrupt("bad chunk flag")),
-                }
-            }
-        }
-        if let Some((key, total, data)) = open.take() {
-            if data.len() != total {
-                return Err(corrupt(&format!("section {key} truncated")));
-            }
-            sections.push((key, data));
+        let mut sections = Vec::new();
+        while !body.is_empty() {
+            let key_len = u16::from_be_bytes(take(&mut body, 2)?.try_into().expect("2 bytes"));
+            let key = core::str::from_utf8(take(&mut body, key_len.into())?)
+                .map_err(|_| corrupt("non-utf8 section key"))?;
+            let len = u32::from_be_bytes(take(&mut body, 4)?.try_into().expect("4 bytes"));
+            sections.push((key, take(&mut body, len as usize)?));
         }
         Ok(Self { sections })
     }
 
     /// All sections in write order.
-    pub fn sections(&self) -> &[(String, Vec<u8>)] {
+    pub fn sections(&self) -> &[(&'a str, &'a [u8])] {
         &self.sections
     }
 
     /// The first section named `key`, if present.
-    pub fn get(&self, key: &str) -> Option<&[u8]> {
+    pub fn get(&self, key: &str) -> Option<&'a [u8]> {
         self.sections
             .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_slice())
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| *v)
     }
+}
+
+/// Split `n` bytes off the front of `body`.
+fn take<'a>(body: &mut &'a [u8], n: usize) -> Result<&'a [u8], CheckpointError> {
+    if body.len() < n {
+        return Err(CheckpointError::Corrupt(
+            "section runs past the body".into(),
+        ));
+    }
+    let (head, rest) = body.split_at(n);
+    *body = rest;
+    Ok(head)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip(page_size: usize, sections: &[(&str, Vec<u8>)]) {
-        let mut b = CheckpointBuilder::new(page_size);
+    fn roundtrip(sections: &[(&str, Vec<u8>)]) {
+        let mut b = CheckpointBuilder::new();
         for (k, v) in sections {
             b.add(k, v);
         }
@@ -246,23 +192,32 @@ mod tests {
         assert_eq!(r.sections().len(), sections.len());
         for ((k, v), (rk, rv)) in sections.iter().zip(r.sections()) {
             assert_eq!(k, rk);
-            assert_eq!(v, rv);
+            assert_eq!(v.as_slice(), *rv);
         }
+    }
+
+    fn sample() -> Vec<u8> {
+        let mut b = CheckpointBuilder::new();
+        b.add("meta", &[9u8; 30]);
+        b.add("", b"");
+        b.add_with("stores", |out| out.extend_from_slice(b"in place"));
+        b.finish()
     }
 
     #[test]
     fn empty_checkpoint() {
-        roundtrip(256, &[]);
+        roundtrip(&[]);
+        assert_eq!(CheckpointBuilder::new().finish().len(), HEADER_LEN);
     }
 
     #[test]
-    fn small_sections_share_a_page() {
-        let mut b = CheckpointBuilder::new(4096);
+    fn small_sections_roundtrip_and_lookup() {
+        let mut b = CheckpointBuilder::new();
         b.add("meta", b"abc");
         b.add("log", b"defgh");
         let image = b.finish();
-        // Header + exactly one page.
-        assert_eq!(image.len(), HEADER_LEN + 4096);
+        // Header + two sections, no padding.
+        assert_eq!(image.len(), HEADER_LEN + (2 + 4 + 4 + 3) + (2 + 3 + 4 + 5));
         let r = CheckpointReader::parse(&image).unwrap();
         assert_eq!(r.get("meta").unwrap(), b"abc");
         assert_eq!(r.get("log").unwrap(), b"defgh");
@@ -270,29 +225,90 @@ mod tests {
     }
 
     #[test]
-    fn large_section_spans_pages() {
+    fn large_sections_roundtrip() {
         let big: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
-        roundtrip(256, &[("big", big.clone()), ("after", b"tail".to_vec())]);
-        // Empty values and values exactly at boundaries.
-        roundtrip(128, &[("empty", vec![]), ("one", vec![42])]);
-        for n in [0usize, 1, 63, 64, 65, 107, 108, 109, 200, 500] {
-            roundtrip(128, &[("k", vec![7u8; n])]);
+        roundtrip(&[("big", big.clone()), ("after", b"tail".to_vec())]);
+        roundtrip(&[("empty", vec![]), ("one", vec![42])]);
+        for n in [0usize, 1, 63, 64, 65, 4095, 4096, 4097] {
+            roundtrip(&[("k", vec![7u8; n])]);
         }
     }
 
     #[test]
+    fn in_place_sections_equal_copied_ones() {
+        let mut copied = CheckpointBuilder::new();
+        copied.add("meta", &[9u8; 30]);
+        copied.add("", b"");
+        copied.add("stores", b"in place");
+        assert_eq!(copied.finish(), sample());
+    }
+
+    #[test]
     fn crc_detects_torn_checkpoint() {
-        let mut b = CheckpointBuilder::new(256);
-        b.add("meta", &[9u8; 300]);
-        let image = b.finish();
+        let image = sample();
         // Truncation at every length must error, never panic.
         for cut in 0..image.len() {
-            assert!(CheckpointReader::parse(&image[..cut]).is_err());
+            assert!(CheckpointReader::parse(&image[..cut]).is_err(), "cut {cut}");
         }
-        // A single bit flip in the page area must be caught by the CRC.
-        let mut flipped = image.clone();
-        let n = flipped.len();
-        flipped[n - 1] ^= 0x80;
-        assert!(CheckpointReader::parse(&flipped).is_err());
+        // Every single-bit flip, in the header or the body, is caught.
+        for byte in 0..image.len() {
+            for bit in 0..8 {
+                let mut flipped = image.clone();
+                flipped[byte] ^= 1 << bit;
+                assert!(
+                    CheckpointReader::parse(&flipped).is_err(),
+                    "flip {byte}.{bit}"
+                );
+            }
+        }
+    }
+
+    /// Re-seal a hand-built body under a valid header, so only the
+    /// section walk can reject it.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut image = MAGIC.to_vec();
+        image.extend_from_slice(&(body.len() as u64).to_be_bytes());
+        image.extend_from_slice(&crate::wal::crc32(body).to_be_bytes());
+        image.extend_from_slice(body);
+        image
+    }
+
+    #[test]
+    fn section_running_past_the_body_is_refused() {
+        let mut body = Vec::new();
+        body.extend_from_slice(&1u16.to_be_bytes());
+        body.push(b'k');
+        body.extend_from_slice(&100u32.to_be_bytes());
+        body.extend_from_slice(&[1, 2, 3]);
+        assert!(matches!(
+            CheckpointReader::parse(&sealed(&body)),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        // A key length past the body, and a cut inside a length field.
+        assert!(CheckpointReader::parse(&sealed(&[0, 9, b'k'])).is_err());
+        assert!(CheckpointReader::parse(&sealed(&[0, 1, b'k', 0, 0])).is_err());
+        // A non-UTF-8 key.
+        assert!(CheckpointReader::parse(&sealed(&[0, 1, 0xFF, 0, 0, 0, 0])).is_err());
+        // The same framing with an honest length parses.
+        let ok = sealed(&[0, 1, b'k', 0, 0, 0, 1, 7]);
+        assert_eq!(
+            CheckpointReader::parse(&ok).unwrap().get("k"),
+            Some(&[7u8][..])
+        );
+    }
+
+    #[test]
+    fn other_versions_are_refused_by_name() {
+        let mut old = b"VCKP1\x00".to_vec();
+        old.extend_from_slice(&[0u8; 12]);
+        assert_eq!(
+            CheckpointReader::parse(&old).err(),
+            Some(CheckpointError::Version("1".into()))
+        );
+        // Too short to carry a version: a torn write, not a version.
+        assert!(matches!(
+            CheckpointReader::parse(b"VCKP"),
+            Err(CheckpointError::Corrupt(_))
+        ));
     }
 }

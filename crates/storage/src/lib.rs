@@ -9,9 +9,10 @@
 //!   namespace every attribute digest;
 //! * [`mod@tuple`] — tuples with exact wire sizes (communication-cost
 //!   accounting);
-//! * [`table`] — primary-key-ordered heap tables and a catalog;
-//! * [`page`] — 4 KB slotted pages, used to materialise tree nodes and
-//!   measure the storage overheads of Section 4.1;
+//! * [`table`] — primary-key-ordered heap tables;
+//! * [`wal`] and [`checkpoint`] — the checksummed write-ahead log and
+//!   the flat, CRC-protected checkpoint image the durable central
+//!   writes through a [`Vfs`];
 //! * [`geometry`] — the `|B|/|K|/|P|/|D|` node-capacity parameters of
 //!   Table 1 and the fan-out arithmetic of formulas (6)–(7);
 //! * [`workload`] — the synthetic tables and selectivity-driven range
@@ -22,7 +23,6 @@
 
 pub mod checkpoint;
 pub mod geometry;
-pub mod page;
 pub mod schema;
 pub mod table;
 pub mod tuple;
@@ -31,11 +31,10 @@ pub mod vfs;
 pub mod wal;
 pub mod workload;
 
-pub use checkpoint::{CheckpointBuilder, CheckpointReader};
+pub use checkpoint::{CheckpointBuilder, CheckpointError, CheckpointReader};
 pub use geometry::Geometry;
-pub use page::SlottedPage;
 pub use schema::{AttributeInputs, ColumnDef, Schema};
-pub use table::{Catalog, Table};
+pub use table::Table;
 pub use tuple::Tuple;
 pub use value::{ColumnType, Value};
 pub use vfs::{DiskVfs, FailPoint, FailpointFs, MemVfs, Vfs};
@@ -50,13 +49,6 @@ pub enum StorageError {
     DuplicateKey(u64),
     /// Primary key not present.
     KeyNotFound(u64),
-    /// Page capacity exceeded.
-    PageFull {
-        /// Bytes that were requested.
-        needed: usize,
-        /// Bytes actually available.
-        available: usize,
-    },
     /// Malformed serialized data.
     Corrupt(String),
     /// A filesystem operation failed (or the process was killed by a
@@ -70,9 +62,6 @@ impl core::fmt::Display for StorageError {
             StorageError::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
             StorageError::DuplicateKey(k) => write!(f, "duplicate primary key {k}"),
             StorageError::KeyNotFound(k) => write!(f, "primary key {k} not found"),
-            StorageError::PageFull { needed, available } => {
-                write!(f, "page full: need {needed} bytes, {available} available")
-            }
             StorageError::Corrupt(m) => write!(f, "corrupt data: {m}"),
             StorageError::Io(m) => write!(f, "io error: {m}"),
         }

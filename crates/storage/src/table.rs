@@ -1,4 +1,4 @@
-//! Primary-key-ordered tables and the catalog.
+//! Primary-key-ordered tables.
 
 use crate::schema::Schema;
 use crate::tuple::Tuple;
@@ -80,80 +80,6 @@ impl Table {
     pub fn data_bytes(&self) -> usize {
         self.rows.values().map(Tuple::wire_len).sum()
     }
-
-    /// Serialise schema + rows (checkpoints persist the catalog).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        self.schema.encode_into(out);
-        out.extend_from_slice(&(self.rows.len() as u32).to_be_bytes());
-        for row in self.rows.values() {
-            row.encode_into(out);
-        }
-    }
-
-    /// Decode a table, advancing `buf`.
-    pub fn decode(buf: &mut &[u8]) -> Result<Self, StorageError> {
-        let schema = Schema::decode(buf)?;
-        if buf.len() < 4 {
-            return Err(StorageError::Corrupt("table row count truncated".into()));
-        }
-        let n = u32::from_be_bytes(buf[..4].try_into().unwrap()) as usize;
-        *buf = &buf[4..];
-        let mut table = Table::new(schema);
-        for _ in 0..n {
-            let tuple = Tuple::decode(buf)?;
-            table.insert(tuple)?;
-        }
-        Ok(table)
-    }
-}
-
-/// A named collection of tables — the central server's master database.
-#[derive(Clone, Debug, Default)]
-pub struct Catalog {
-    tables: BTreeMap<String, Table>,
-}
-
-impl Catalog {
-    /// Empty catalog.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register a table under its schema's table name. Replaces any
-    /// previous table of the same name.
-    pub fn put(&mut self, table: Table) {
-        self.tables.insert(table.schema().table.clone(), table);
-    }
-
-    /// Look up a table.
-    pub fn get(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name)
-    }
-
-    /// Mutable lookup.
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut Table> {
-        self.tables.get_mut(name)
-    }
-
-    /// Drop a table, returning it if it was registered.
-    pub fn remove(&mut self, name: &str) -> Option<Table> {
-        self.tables.remove(name)
-    }
-
-    /// Iterate over tables in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &Table> {
-        self.tables.values()
-    }
-
-    /// Number of tables.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// True when no tables are registered.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -214,16 +140,5 @@ mod tests {
         let t = table();
         let per_row = t.get(1).unwrap().wire_len();
         assert_eq!(t.data_bytes(), 4 * per_row);
-    }
-
-    #[test]
-    fn catalog_roundtrip() {
-        let mut cat = Catalog::new();
-        cat.put(table());
-        assert_eq!(cat.len(), 1);
-        assert!(cat.get("t").is_some());
-        assert!(cat.get("missing").is_none());
-        cat.get_mut("t").unwrap().delete(1).unwrap();
-        assert_eq!(cat.get("t").unwrap().len(), 3);
     }
 }

@@ -1,10 +1,12 @@
 //! Property tests for the storage substrate: codecs round-trip for
-//! arbitrary data, the slotted page matches a model, and workloads are
-//! reproducible.
+//! arbitrary data, checkpoint images round-trip and refuse damage
+//! without panicking, and workloads are reproducible.
 
 use proptest::prelude::*;
 use vbx_storage::workload::WorkloadSpec;
-use vbx_storage::{ColumnDef, ColumnType, Schema, SlottedPage, StorageError, Tuple, Value};
+use vbx_storage::{
+    CheckpointBuilder, CheckpointReader, ColumnDef, ColumnType, Schema, Tuple, Value,
+};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -75,46 +77,46 @@ proptest! {
         prop_assert_eq!(back, schema);
     }
 
-    /// Slotted page vs a Vec<Vec<u8>> model: every accepted push is
-    /// readable, order preserved, rejected pushes leave state intact.
+    /// Any list of sections round-trips through a checkpoint image,
+    /// in order, byte for byte.
     #[test]
-    fn slotted_page_model(
-        records in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 0..40),
+    fn checkpoint_roundtrip(
+        sections in proptest::collection::vec(
+            (".{0,12}", proptest::collection::vec(any::<u8>(), 0..300)),
+            0..8,
+        ),
     ) {
-        let mut page = SlottedPage::new(1024);
-        let mut model: Vec<Vec<u8>> = Vec::new();
-        for r in &records {
-            match page.push(r) {
-                Ok(idx) => {
-                    prop_assert_eq!(idx, model.len());
-                    model.push(r.clone());
-                }
-                Err(StorageError::PageFull { .. }) => {
-                    // full: everything already stored must be unchanged
-                }
-                Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
-            }
+        let mut b = CheckpointBuilder::new();
+        for (k, v) in &sections {
+            b.add(k, v);
         }
-        prop_assert_eq!(page.len(), model.len());
-        for (i, r) in model.iter().enumerate() {
-            prop_assert_eq!(page.get(i), Some(r.as_slice()));
-        }
-        // Serialization round-trip preserves the records.
-        let back = SlottedPage::from_bytes(page.as_bytes().to_vec()).unwrap();
-        for (i, r) in model.iter().enumerate() {
-            prop_assert_eq!(back.get(i), Some(r.as_slice()));
+        let image = b.finish();
+        let r = CheckpointReader::parse(&image).unwrap();
+        prop_assert_eq!(r.sections().len(), sections.len());
+        for ((k, v), (rk, rv)) in sections.iter().zip(r.sections()) {
+            prop_assert_eq!(k.as_str(), *rk);
+            prop_assert_eq!(v.as_slice(), *rv);
         }
     }
 
-    /// Corrupt page bytes never panic: either a clean error or a page
-    /// whose reads stay in bounds.
+    /// Hostile bytes never panic the reader, whether they start with
+    /// the checkpoint magic or not; a damaged image is refused.
     #[test]
-    fn slotted_page_fuzzed_decode(bytes in proptest::collection::vec(any::<u8>(), 16..256)) {
-        if let Ok(page) = SlottedPage::from_bytes(bytes) {
-            for i in 0..page.len() {
-                let _ = page.get(i);
-            }
-        }
+    fn checkpoint_fuzzed_parse(
+        tail in proptest::collection::vec(any::<u8>(), 0..64),
+        at in any::<usize>(),
+        flip in 1u8..=255,
+    ) {
+        let _ = CheckpointReader::parse(&tail);
+        let mut b = CheckpointBuilder::new();
+        b.add("k", &tail);
+        let mut image = b.finish();
+        let at = at % image.len();
+        image[at] ^= flip;
+        prop_assert!(CheckpointReader::parse(&image).is_err());
+        let mut prefixed = b"VCKP2\x00".to_vec();
+        prefixed.extend_from_slice(&tail);
+        let _ = CheckpointReader::parse(&prefixed);
     }
 
     /// Workload generation is a pure function of the spec.

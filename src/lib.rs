@@ -13,7 +13,7 @@
 //!
 //! * [`vbx_core`] — the VB-tree, VOs, client verification
 //! * [`vbx_crypto`] — hashes, the commutative accumulator, RSA
-//! * [`vbx_storage`] — schemas, tuples, pages, synthetic workloads
+//! * [`vbx_storage`] — schemas, tuples, tables, WAL and checkpoints, synthetic workloads
 //! * [`vbx_query`] — SQL subset, predicates, materialised join views
 //! * [`vbx_edge`] — central/edge/client deployment and locking
 //! * [`vbx_baselines`] — the Naive strategy and a Merkle hash tree
