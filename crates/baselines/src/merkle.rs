@@ -250,18 +250,23 @@ impl MerkleAuthStore {
 
     /// Serialise the store for a durability checkpoint: schema, key
     /// version, root signature, and the tuples. The hash levels are
-    /// derived data and rebuilt deterministically on decode.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.tuples.len() * 64);
-        self.schema.encode_into(&mut out);
+    /// derived data and rebuilt deterministically on decode. Appends to
+    /// `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.schema.encode_into(out);
         out.extend_from_slice(&self.key_version.to_be_bytes());
         out.extend_from_slice(&(self.root_sig.len() as u16).to_be_bytes());
         out.extend_from_slice(self.root_sig.as_bytes());
         out.extend_from_slice(&(self.tuples.len() as u32).to_be_bytes());
         for t in &self.tuples {
-            t.encode_into(&mut out);
+            t.encode_into(out);
         }
-        out
+    }
+
+    /// Bytes [`encode_into`](Self::encode_into) appends.
+    pub fn encoded_len(&self) -> usize {
+        let tuples: usize = self.tuples.iter().map(Tuple::wire_len).sum();
+        self.schema.encoded_len() + 4 + 2 + self.root_sig.len() + 4 + tuples
     }
 
     /// Decode a checkpointed store, rebuilding the hash levels from the

@@ -170,9 +170,9 @@ impl<const L: usize> NaiveAuthStore<L> {
     ) -> (Vec<SignedDigest<L>>, SignedDigest<L>) {
         let mut attr_digests = Vec::with_capacity(tuple.values.len());
         let mut tuple_exp = acc.identity();
+        let mut inputs = schema.attribute_inputs(0..schema.num_columns());
         for (col, v) in tuple.values.iter().enumerate() {
-            let input = schema.attribute_digest_input(col, tuple.key, v);
-            let e = acc.exp_from_bytes(&input);
+            let e = acc.exp_from_bytes(inputs.input(col, tuple.key, v));
             tuple_exp = acc.combine(&tuple_exp, &e);
             attr_digests.push(acc.sign_digest(signer, DigestRole::Attribute, &e));
         }
@@ -263,14 +263,14 @@ impl<const L: usize> NaiveAuthStore<L> {
         acc: &Accumulator<L>,
         verifier: &dyn SigVerifier,
     ) -> Result<(), NaiveError> {
+        let mut inputs = self.schema.attribute_inputs(0..self.schema.num_columns());
         for (&key, e) in &self.entries {
             if e.tuple.key != key || e.attr_digests.len() != e.tuple.values.len() {
                 return Err(NaiveError::Malformed { key });
             }
             let mut tuple_exp = acc.identity();
             for (col, (v, d)) in e.tuple.values.iter().zip(&e.attr_digests).enumerate() {
-                let input = self.schema.attribute_digest_input(col, key, v);
-                if acc.exp_from_bytes(&input) != d.exp {
+                if acc.exp_from_bytes(inputs.input(col, key, v)) != d.exp {
                     return Err(NaiveError::DigestMismatch { key });
                 }
                 if !acc.verify_digest(verifier, d) {
@@ -289,21 +289,36 @@ impl<const L: usize> NaiveAuthStore<L> {
     }
 
     /// Serialise the store (schema, key version, and every entry's
-    /// tuple + signed digests) for a durability checkpoint.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.entries.len() * 128);
-        self.schema.encode_into(&mut out);
+    /// tuple + signed digests) for a durability checkpoint, appending to
+    /// `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.schema.encode_into(out);
         out.extend_from_slice(&self.key_version.to_be_bytes());
         out.extend_from_slice(&(self.entries.len() as u32).to_be_bytes());
         for e in self.entries.values() {
-            e.tuple.encode_into(&mut out);
+            e.tuple.encode_into(out);
             out.extend_from_slice(&(e.attr_digests.len() as u32).to_be_bytes());
             for d in &e.attr_digests {
-                vbx_core::durable::put_signed_digest(&mut out, d);
+                vbx_core::durable::put_signed_digest(out, d);
             }
-            vbx_core::durable::put_signed_digest(&mut out, &e.tuple_digest);
+            vbx_core::durable::put_signed_digest(out, &e.tuple_digest);
         }
-        out
+    }
+
+    /// Bytes [`encode_into`](Self::encode_into) appends.
+    pub fn encoded_len(&self) -> usize {
+        use vbx_core::durable::signed_digest_len;
+        let entries: usize = self
+            .entries
+            .values()
+            .map(|e| {
+                e.tuple.wire_len()
+                    + 4
+                    + e.attr_digests.iter().map(signed_digest_len).sum::<usize>()
+                    + signed_digest_len(&e.tuple_digest)
+            })
+            .sum();
+        self.schema.encoded_len() + 4 + 4 + entries
     }
 
     /// Decode a checkpointed store. Structural damage errors (never
@@ -415,6 +430,7 @@ impl<const L: usize> NaiveAuthStore<L> {
         let filtered_count = n_cols - returned.len();
         let mut sig_checks = 0usize;
         let mut prev: Option<u64> = None;
+        let mut inputs = schema.attribute_inputs(returned.iter().copied());
         for row in &resp.rows {
             if row.key < lo || row.key > hi || prev.is_some_and(|p| row.key <= p) {
                 return Err(NaiveError::BadRowSet);
@@ -424,9 +440,8 @@ impl<const L: usize> NaiveAuthStore<L> {
                 return Err(NaiveError::Malformed { key: row.key });
             }
             let mut exp = acc.identity();
-            for (slot, &col) in returned.iter().enumerate() {
-                let input = schema.attribute_digest_input(col, row.key, &row.values[slot]);
-                let e = acc.exp_from_bytes(&input);
+            for (slot, value) in row.values.iter().enumerate() {
+                let e = acc.exp_from_bytes(inputs.input(slot, row.key, value));
                 exp = acc.combine(&exp, &e);
             }
             for d in &row.filtered_attrs {

@@ -115,10 +115,10 @@ impl<const L: usize> AuthScheme for NaiveScheme<L> {
                 // The replica recomputes every exponent from the tuple it
                 // was told to insert; a man-in-the-middle altering the
                 // tuple cannot re-sign matching digests.
-                let schema = store.schema().clone();
+                let schema = store.schema();
+                let mut inputs = schema.attribute_inputs(0..schema.num_columns());
                 for (col, (v, d)) in tuple.values.iter().zip(payload.iter()).enumerate() {
-                    let input = schema.attribute_digest_input(col, tuple.key, v);
-                    if self.acc.exp_from_bytes(&input) != d.exp {
+                    if self.acc.exp_from_bytes(inputs.input(col, tuple.key, v)) != d.exp {
                         return Err(NaiveError::ReplicaDivergence(format!(
                             "attribute {col} digest does not match replayed tuple {}",
                             tuple.key
@@ -557,8 +557,12 @@ where
 }
 
 impl<const L: usize> DurableScheme for NaiveScheme<L> {
-    fn encode_store(&self, store: &NaiveAuthStore<L>) -> Vec<u8> {
-        store.encode()
+    fn encode_store_into(&self, store: &NaiveAuthStore<L>, out: &mut Vec<u8>) {
+        store.encode_into(out)
+    }
+
+    fn encoded_store_len(&self, store: &NaiveAuthStore<L>) -> usize {
+        store.encoded_len()
     }
 
     fn decode_store(&self, bytes: &[u8]) -> Result<NaiveAuthStore<L>, CoreError> {
@@ -577,8 +581,12 @@ impl<const L: usize> DurableScheme for NaiveScheme<L> {
 }
 
 impl DurableScheme for MerkleScheme {
-    fn encode_store(&self, store: &MerkleAuthStore) -> Vec<u8> {
-        store.encode()
+    fn encode_store_into(&self, store: &MerkleAuthStore, out: &mut Vec<u8>) {
+        store.encode_into(out)
+    }
+
+    fn encoded_store_len(&self, store: &MerkleAuthStore) -> usize {
+        store.encoded_len()
     }
 
     fn decode_store(&self, bytes: &[u8]) -> Result<MerkleAuthStore, CoreError> {
@@ -625,6 +633,26 @@ mod tests {
             vec![Value::from("n"), Value::from("m"), Value::from(7i64)],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn encoded_store_len_counts_what_encode_store_writes() {
+        let t = table();
+        let signer = MockSigner::new(30);
+        let naive = NaiveScheme::new(Acc256::test_default());
+        let mut store = naive.build(&t, &signer);
+        let op = UpdateOp::Insert(new_tuple(t.schema(), 100));
+        naive.update(&mut store, &op, &signer).unwrap();
+        assert_eq!(
+            naive.encoded_store_len(&store),
+            naive.encode_store(&store).len()
+        );
+        let merkle = MerkleScheme;
+        let store = merkle.build(&t, &signer);
+        assert_eq!(
+            merkle.encoded_store_len(&store),
+            merkle.encode_store(&store).len()
+        );
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   (square-and-multiply);
 //! * `rsa*_sign` (CRT, two half-width exponentiations) vs
 //!   `rsa*_sign_fullwidth` (one full-width exponentiation);
-//! * `vbtree_build_par` (`bulk_load_parallel`) vs `vbtree_build_seq`.
+//! * `vbtree_build_par` (`bulk_load_parallel`) vs `vbtree_build_seq`;
+//! * `sha256_block` (the dispatched compression — the x86 SHA
+//!   extensions where the CPU has them) vs `sha256_block_portable`.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -19,7 +21,7 @@ use vbx_core::{default_build_threads, VbTree, VbTreeConfig};
 use vbx_crypto::accum::exp_from_seed;
 use vbx_crypto::rsa;
 use vbx_crypto::signer::{MockSigner, Signer};
-use vbx_crypto::Acc256;
+use vbx_crypto::{sha256, Acc256, Sha256};
 use vbx_mathx::{U1024, U256};
 use vbx_storage::workload::WorkloadSpec;
 
@@ -102,6 +104,30 @@ pub fn run_perf(rows: u64, smoke: bool) -> Vec<BenchRecord> {
         black_box(acc.combine_all(exps.iter()));
     });
     record(&mut recs, "accum_combine_all_16", chain_iters, combine_all);
+
+    // ---- SHA-256: one compression on each kernel, and a 62-byte
+    // message (formula (1)'s input size here: two blocks once padded) ----
+    let sha_iters = 20_000 * scale;
+    let block = [0xA5u8; 64];
+    let mut state = [0u32; 8];
+    let sha_block = time_ns(sha_iters, || {
+        Sha256::compress(black_box(&mut state), black_box(&block));
+    });
+    record(&mut recs, "sha256_block", sha_iters, sha_block);
+    let sha_block_soft = time_ns(sha_iters, || {
+        Sha256::compress_soft(black_box(&mut state), black_box(&block));
+    });
+    record(
+        &mut recs,
+        "sha256_block_portable",
+        sha_iters,
+        sha_block_soft,
+    );
+    let msg62 = [0x5Au8; 62];
+    let sha62 = time_ns(sha_iters, || {
+        black_box(sha256(black_box(&msg62)));
+    });
+    record(&mut recs, "sha256_62B", sha_iters, sha62);
 
     // ---- word-level division: the reduction behind every attribute
     // hash (a 256-bit digest modulo the 255-bit group order) and behind
@@ -233,6 +259,11 @@ pub fn run_perf(rows: u64, smoke: bool) -> Vec<BenchRecord> {
     println!(
         "lift speedup (fixed-base vs naive)      : {:.2}x",
         lift_naive / lift_fast
+    );
+    println!(
+        "sha256 block speedup ({} vs portable): {:.2}x",
+        Sha256::kernel(),
+        sha_block_soft / sha_block
     );
     println!(
         "rsa512 sign speedup (CRT vs full-width) : {:.2}x",

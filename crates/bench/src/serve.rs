@@ -48,7 +48,7 @@ fn reader_loop(
     let mut lat = Vec::with_capacity(4096);
     let mut i = 0u64;
     while !stop.load(Ordering::Relaxed) || i < min_queries {
-        let q = if i % 4 == 0 {
+        let q = if i.is_multiple_of(4) {
             hot.clone()
         } else {
             let span = spans[(i % spans.len() as u64) as usize];

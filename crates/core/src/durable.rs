@@ -49,12 +49,22 @@ const KIND_HEARTBEAT: u8 = 2;
 const KIND_COMMIT_TXN: u8 = 3;
 
 /// A scheme whose store and delta payloads have byte encodings, making
-/// the central recoverable: checkpoints persist `encode_store`, WAL
+/// the central recoverable: checkpoints persist `encode_store_into`, WAL
 /// records persist `encode_delta`, and recovery replays the decoded
 /// payloads through `AuthScheme::apply_delta_batch` to byte-identical state.
 pub trait DurableScheme: AuthScheme {
-    /// Serialise a store (tree/table + signed digests) for a checkpoint.
-    fn encode_store(&self, store: &Self::Store) -> Vec<u8>;
+    /// Serialise a store (tree/table + signed digests) for a checkpoint,
+    /// appending to `out`.
+    fn encode_store_into(&self, store: &Self::Store, out: &mut Vec<u8>);
+    /// Bytes [`encode_store_into`](Self::encode_store_into) appends for
+    /// `store`, counted without encoding it.
+    fn encoded_store_len(&self, store: &Self::Store) -> usize;
+    /// [`encode_store_into`](Self::encode_store_into) a fresh buffer.
+    fn encode_store(&self, store: &Self::Store) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_store_into(store, &mut out);
+        out
+    }
     /// Decode a checkpointed store.
     fn decode_store(&self, bytes: &[u8]) -> Result<Self::Store, CoreError>;
     /// Serialise one delta payload for a WAL record.
@@ -64,8 +74,12 @@ pub trait DurableScheme: AuthScheme {
 }
 
 impl<const L: usize> DurableScheme for VbScheme<L> {
-    fn encode_store(&self, store: &Self::Store) -> Vec<u8> {
-        tree_codec::encode_tree(store)
+    fn encode_store_into(&self, store: &Self::Store, out: &mut Vec<u8>) {
+        tree_codec::encode_tree_into(store, out)
+    }
+
+    fn encoded_store_len(&self, store: &Self::Store) -> usize {
+        tree_codec::encoded_tree_len(store)
     }
 
     fn decode_store(&self, bytes: &[u8]) -> Result<Self::Store, CoreError> {
@@ -86,6 +100,11 @@ impl<const L: usize> DurableScheme for VbScheme<L> {
 /// baseline schemes' store codecs frame digests identically.
 pub fn put_signed_digest<const L: usize>(out: &mut Vec<u8>, d: &SignedDigest<L>) {
     wire::put_digest(out, d);
+}
+
+/// Bytes [`put_signed_digest`] appends for `d`.
+pub fn signed_digest_len<const L: usize>(d: &SignedDigest<L>) -> usize {
+    d.wire_len() + 2
 }
 
 /// Decode one signed digest, advancing `buf`; `acc` validates the
@@ -269,6 +288,17 @@ pub fn encode_wal_commit<S: DurableScheme>(
     commit: &Commit<S::Delta>,
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(1024 * commit.sections().len().max(1));
+    encode_wal_commit_into(scheme, clock, commit, &mut out);
+    out
+}
+
+/// [`encode_wal_commit`], appended to `out`.
+pub fn encode_wal_commit_into<S: DurableScheme>(
+    scheme: &S,
+    clock: u64,
+    commit: &Commit<S::Delta>,
+    out: &mut Vec<u8>,
+) {
     out.extend_from_slice(MAGIC);
     match commit {
         Commit::Batch(_) => {
@@ -282,10 +312,9 @@ pub fn encode_wal_commit<S: DurableScheme>(
         }
     }
     for section in commit.sections() {
-        put_batch_section(&mut out, scheme, section);
+        put_batch_section(out, scheme, section);
     }
-    wire::put_stamp(&mut out, commit.stamp());
-    out
+    wire::put_stamp(out, commit.stamp());
 }
 
 /// Encode a heartbeat record.
@@ -383,6 +412,28 @@ mod tests {
 
     fn sample_stamp(signer: &dyn Signer) -> FreshnessStamp {
         FreshnessStamp::sign(signer, 7, 42)
+    }
+
+    #[test]
+    fn encoded_store_len_counts_what_encode_store_writes() {
+        let signer = MockSigner::new(7);
+        for config in [
+            crate::tree::VbTreeConfig::with_fanout(8),
+            crate::tree::VbTreeConfig::default(),
+        ] {
+            let s = VbScheme {
+                acc: Acc256::test_default(),
+                config,
+            };
+            for rows in [0, 1, 300] {
+                let store = s.build(&WorkloadSpec::new(rows, 3, 8).build(), &signer);
+                assert_eq!(
+                    s.encoded_store_len(&store),
+                    s.encode_store(&store).len(),
+                    "{rows} rows"
+                );
+            }
+        }
     }
 
     #[test]

@@ -55,7 +55,8 @@ pub mod wire;
 
 pub use chunks::{StoreRestorer, SyncError, TreeChunks, DEFAULT_LEAVES_PER_CHUNK};
 pub use durable::{
-    decode_wal_record, encode_wal_commit, encode_wal_heartbeat, DurableScheme, WalRecord,
+    decode_wal_record, encode_wal_commit, encode_wal_commit_into, encode_wal_heartbeat,
+    DurableScheme, WalRecord,
 };
 pub use frame::{ErrorCode, Frame, FrameBuffer, FrameKind, NetMsg, MAX_FRAME_LEN};
 pub use meter::CostMeter;

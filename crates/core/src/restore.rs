@@ -391,6 +391,7 @@ impl<const L: usize> Restorer<L> {
             )));
         }
         let n_cols = plan.schema.num_columns();
+        let mut inputs = plan.schema.attribute_inputs(0..n_cols);
         // Built aside: nothing is installed until the screen has passed.
         let mut screen = SigScreen::new(self.verifier.as_ref());
         let mut built = Vec::with_capacity(count);
@@ -427,8 +428,7 @@ impl<const L: usize> Restorer<L> {
                 let mut tuple_exp = self.acc.identity();
                 for (col, val) in tuple.values.iter().enumerate() {
                     let d = get_digest(buf, &self.acc, Some(DigestRole::Attribute))?;
-                    let input = plan.schema.attribute_digest_input(col, k, val);
-                    if self.acc.exp_from_bytes(&input) != d.exp {
+                    if self.acc.exp_from_bytes(inputs.input(col, k, val)) != d.exp {
                         return Err(SyncError::DigestMismatch(format!(
                             "attribute digest of key {k} col {col} does not match its value"
                         )));

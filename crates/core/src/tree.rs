@@ -22,10 +22,10 @@ use crate::source::{DeferredSource, DigestSource, SigningSource};
 use crate::CoreError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vbx_crypto::accum::{Accumulator, DigestRole, SignedDigest};
+use vbx_crypto::accum::{Accumulator, DigestRole, ExpProduct, SignedDigest};
 use vbx_crypto::{SigScreen, SigVerifier, Signer};
 use vbx_mathx::Uint;
-use vbx_storage::{Geometry, Schema, Table, Tuple};
+use vbx_storage::{AttributeInputs, Geometry, Schema, Table, Tuple};
 
 /// Construction parameters.
 #[derive(Clone, Debug, Default)]
@@ -160,27 +160,28 @@ impl EntryOps {
 /// independent of any tree instance so the bulk loaders can fan it out
 /// across threads: per-attribute digests, the combined tuple exponent,
 /// and the signed tuple digest.
+/// `inputs` must have been made for all of the schema's columns, in
+/// order.
 fn compute_entry<const L: usize>(
-    schema: &Schema,
+    inputs: &mut AttributeInputs,
     acc: &Accumulator<L>,
     tuple: Tuple,
     src: &mut dyn DigestSource<L>,
 ) -> Result<(TupleEntry<L>, EntryOps), CoreError> {
     let mut ops = EntryOps::default();
     let mut attr_digests = Vec::with_capacity(tuple.values.len());
-    let mut tuple_exp = acc.identity();
+    let mut tuple_exp = ExpProduct::new();
     for (col, value) in tuple.values.iter().enumerate() {
-        let input = schema.attribute_digest_input(col, tuple.key, value);
-        let e = acc.exp_from_bytes(&input);
+        let e = acc.exp_from_bytes(inputs.input(col, tuple.key, value));
         ops.hashes += 1;
-        tuple_exp = acc.combine(&tuple_exp, &e);
+        tuple_exp.fold(acc, &e);
         ops.combines += 1;
         attr_digests.push(src.issue(acc, DigestRole::Attribute, &e)?);
         if src.counts_as_sign() {
             ops.signs += 1;
         }
     }
-    let tuple_digest = src.issue(acc, DigestRole::Tuple, &tuple_exp)?;
+    let tuple_digest = src.issue(acc, DigestRole::Tuple, &tuple_exp.value(acc))?;
     if src.counts_as_sign() {
         ops.signs += 1;
     }
@@ -270,13 +271,18 @@ impl<const L: usize> VbTree<L> {
     ) -> Self {
         let mut tree = Self::new(table.schema().clone(), config, acc, signer);
         let mut src = SigningSource::new(signer);
+        let mut inputs = tree.all_attribute_inputs();
+        let mut ops = EntryOps::default();
         let entries: Vec<TupleEntry<L>> = table
             .iter()
             .map(|t| {
-                tree.make_entry_with(t.clone(), &mut src)
-                    .expect("signing cannot fail")
+                let (entry, o) = compute_entry(&mut inputs, &tree.acc, t.clone(), &mut src)
+                    .expect("signing cannot fail");
+                ops.absorb(&o);
+                entry
             })
             .collect();
+        ops.add_to(&mut tree.meter);
         tree.pack_entries(entries, &mut src);
         tree
     }
@@ -314,12 +320,14 @@ impl<const L: usize> VbTree<L> {
                     let acc = &acc;
                     scope.spawn(move || {
                         let mut src = SigningSource::new(signer);
+                        let mut inputs = schema.attribute_inputs(0..schema.num_columns());
                         let mut ops = EntryOps::default();
                         let entries = part
                             .iter()
                             .map(|t| {
-                                let (entry, o) = compute_entry(schema, acc, (*t).clone(), &mut src)
-                                    .expect("signing cannot fail");
+                                let (entry, o) =
+                                    compute_entry(&mut inputs, acc, (*t).clone(), &mut src)
+                                        .expect("signing cannot fail");
                                 ops.absorb(&o);
                                 entry
                             })
@@ -599,9 +607,15 @@ impl<const L: usize> VbTree<L> {
         tuple: Tuple,
         src: &mut dyn DigestSource<L>,
     ) -> Result<TupleEntry<L>, CoreError> {
-        let (entry, ops) = compute_entry(&self.schema, &self.acc, tuple, src)?;
+        let mut inputs = self.all_attribute_inputs();
+        let (entry, ops) = compute_entry(&mut inputs, &self.acc, tuple, src)?;
         ops.add_to(&mut self.meter);
         Ok(entry)
+    }
+
+    /// Formula (1)'s input builder for every column, in order.
+    fn all_attribute_inputs(&self) -> AttributeInputs {
+        self.schema.attribute_inputs(0..self.schema.num_columns())
     }
 
     // ------------------------------------------------------------------
@@ -1379,7 +1393,8 @@ impl<const L: usize> VbTree<L> {
     pub fn check_integrity(&self, verifier: Option<&dyn SigVerifier>) -> Result<(), CoreError> {
         let mut count = 0u64;
         let mut screen = verifier.map(SigScreen::new);
-        let depth = self.check_node(self.root, None, None, &mut screen, &mut count)?;
+        let mut inputs = self.all_attribute_inputs();
+        let depth = self.check_node(self.root, None, None, &mut screen, &mut inputs, &mut count)?;
         if depth != self.height {
             return Err(CoreError::InvariantViolation(format!(
                 "height mismatch: computed {depth}, stored {}",
@@ -1404,6 +1419,7 @@ impl<const L: usize> VbTree<L> {
         lo: Option<u64>,
         hi: Option<u64>,
         screen: &mut Option<SigScreen<'_, AuditSite>>,
+        inputs: &mut AttributeInputs,
         count: &mut u64,
     ) -> Result<u32, CoreError> {
         let viol = |m: String| Err(CoreError::InvariantViolation(m));
@@ -1414,7 +1430,7 @@ impl<const L: usize> VbTree<L> {
         }
         match node {
             Node::Leaf(n) => {
-                let mut expected = self.acc.identity();
+                let mut expected = ExpProduct::new();
                 let mut prev: Option<u64> = None;
                 for e in &n.entries {
                     let k = e.key();
@@ -1428,18 +1444,17 @@ impl<const L: usize> VbTree<L> {
                     }
                     prev = Some(k);
                     // Recompute the tuple digest from raw values.
-                    let mut te = self.acc.identity();
+                    let mut te = ExpProduct::new();
                     for (col, val) in e.tuple.values.iter().enumerate() {
-                        let input = self.schema.attribute_digest_input(col, k, val);
-                        let ea = self.acc.exp_from_bytes(&input);
+                        let ea = self.acc.exp_from_bytes(inputs.input(col, k, val));
                         if ea != e.attr_digests[col].exp {
                             return viol(format!(
                                 "leaf {id}: attr digest mismatch key {k} col {col}"
                             ));
                         }
-                        te = self.acc.combine(&te, &ea);
+                        te.fold(&self.acc, &ea);
                     }
-                    if te != e.tuple_digest.exp {
+                    if te.value(&self.acc) != e.tuple_digest.exp {
                         return viol(format!("leaf {id}: tuple digest mismatch key {k}"));
                     }
                     if let Some(screen) = screen {
@@ -1449,10 +1464,10 @@ impl<const L: usize> VbTree<L> {
                             self.acc.screen_digest(screen, AuditSite::Attr(id, k), d)?;
                         }
                     }
-                    expected = self.acc.combine(&expected, &e.tuple_digest.exp);
+                    expected.fold(&self.acc, &e.tuple_digest.exp);
                     *count += 1;
                 }
-                if expected != n.digest.exp {
+                if expected.value(&self.acc) != n.digest.exp {
                     return viol(format!("leaf {id}: node digest mismatch"));
                 }
                 Ok(1)
@@ -1464,7 +1479,7 @@ impl<const L: usize> VbTree<L> {
                 if n.children.is_empty() {
                     return viol(format!("internal {id}: no children"));
                 }
-                let mut expected = self.acc.identity();
+                let mut expected = ExpProduct::new();
                 let mut depth: Option<u32> = None;
                 for (i, &c) in n.children.iter().enumerate() {
                     let clo = if i == 0 { lo } else { Some(n.keys[i - 1]) };
@@ -1478,16 +1493,16 @@ impl<const L: usize> VbTree<L> {
                             return viol(format!("internal {id}: separators not increasing"));
                         }
                     }
-                    let d = self.check_node(c, clo, chi, screen, count)?;
+                    let d = self.check_node(c, clo, chi, screen, inputs, count)?;
                     if let Some(prev) = depth {
                         if prev != d {
                             return viol(format!("internal {id}: ragged depth"));
                         }
                     }
                     depth = Some(d);
-                    expected = self.acc.combine(&expected, &self.node(c).digest().exp);
+                    expected.fold(&self.acc, &self.node(c).digest().exp);
                 }
-                if expected != n.digest.exp {
+                if expected.value(&self.acc) != n.digest.exp {
                     return viol(format!("internal {id}: node digest mismatch"));
                 }
                 Ok(depth.unwrap() + 1)

@@ -55,6 +55,12 @@ pub(crate) fn get_digest<const L: usize>(
 /// Serialize a tree to bytes.
 pub fn encode_tree<const L: usize>(tree: &VbTree<L>) -> Vec<u8> {
     let mut out = Vec::with_capacity(4096);
+    encode_tree_into(tree, &mut out);
+    out
+}
+
+/// [`encode_tree`], appended to `out`.
+pub fn encode_tree_into<const L: usize>(tree: &VbTree<L>, out: &mut Vec<u8>) {
     out.extend_from_slice(MAGIC);
     out.put_u64(tree.len());
     out.put_u32(tree.height());
@@ -74,9 +80,52 @@ pub fn encode_tree<const L: usize>(tree: &VbTree<L>) -> Vec<u8> {
         None => out.push(0),
     }
 
-    tree.schema().encode_into(&mut out);
-    encode_node(tree, tree.root_id(), &mut out);
-    out
+    tree.schema().encode_into(out);
+    encode_node(tree, tree.root_id(), out);
+}
+
+/// Bytes [`encode_tree_into`] appends for `tree`, counted without
+/// encoding anything — so a caller can size its buffer once.
+pub fn encoded_tree_len<const L: usize>(tree: &VbTree<L>) -> usize {
+    let fanout = if tree.config().fanout_override.is_some() {
+        5
+    } else {
+        1
+    };
+    MAGIC.len()
+        + 8
+        + 4
+        + 8
+        + 4
+        + 16
+        + fanout
+        + tree.schema().encoded_len()
+        + node_len(tree, tree.root_id())
+}
+
+fn digest_len<const L: usize>(d: &SignedDigest<L>) -> usize {
+    1 + L * 8 + 2 + d.sig.len()
+}
+
+fn node_len<const L: usize>(tree: &VbTree<L>, id: NodeId) -> usize {
+    match tree.node(id) {
+        Node::Leaf(n) => {
+            let entries: usize = n
+                .entries
+                .iter()
+                .map(|e| {
+                    e.tuple.wire_len()
+                        + e.attr_digests.iter().map(digest_len).sum::<usize>()
+                        + digest_len(&e.tuple_digest)
+                })
+                .sum();
+            1 + digest_len(&n.digest) + 4 + entries
+        }
+        Node::Internal(n) => {
+            let children: usize = n.children.iter().map(|&c| node_len(tree, c)).sum();
+            1 + digest_len(&n.digest) + 4 + 8 * n.keys.len() + children
+        }
+    }
 }
 
 fn encode_node<const L: usize>(tree: &VbTree<L>, id: NodeId, out: &mut Vec<u8>) {

@@ -402,7 +402,7 @@ impl<'a, const L: usize> ClientVerifier<'a, L> {
 
         // --- recompute attribute digests from returned values ---
         let mut total = ExpProduct::new();
-        let mut inputs = self.schema.attribute_inputs(&returned);
+        let mut inputs = self.schema.attribute_inputs(returned.iter().copied());
         for row in &resp.rows {
             for (slot, value) in row.values.iter().enumerate() {
                 let e = self.acc.exp_from_bytes(inputs.input(slot, row.key, value));
@@ -808,7 +808,7 @@ impl<'a, 'q, const L: usize> PartMachine<'a, 'q, L> {
             stack: vec![ExpProduct::new()],
             peak: 1,
             prev_key: None,
-            inputs: cv.schema.attribute_inputs(&returned),
+            inputs: cv.schema.attribute_inputs(returned.iter().copied()),
             arity: returned.len(),
             query,
             filtered_cols: num_cols - returned.len(),

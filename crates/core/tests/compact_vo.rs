@@ -282,7 +282,7 @@ fn differential_case(
         projection,
     };
     let queries = [q.clone()];
-    let pred = pred_modulus.map(|m| move |t: &Tuple| t.key % m != 0);
+    let pred = pred_modulus.map(|m| move |t: &Tuple| !t.key.is_multiple_of(m));
     let pred_ref: Option<&dyn Fn(&Tuple) -> bool> =
         pred.as_ref().map(|p| p as &dyn Fn(&Tuple) -> bool);
 
@@ -445,8 +445,8 @@ fn em_1024(x: &Uint<4>) -> Uint<16> {
 /// exponent that, folded in `e` times, hides the change.
 fn mutate_and_compensate(tree: &VbTree<4>, row: &mut vbx_core::ResultRow) -> Uint<4> {
     let acc = tree.accumulator();
-    let digest_of =
-        |v: &Value| acc.exp_from_bytes(&tree.schema().attribute_digest_input(0, row.key, v));
+    let mut inputs = tree.schema().attribute_inputs([0]);
+    let mut digest_of = |v: &Value| acc.exp_from_bytes(inputs.input(0, row.key, v));
     let forged = Value::from("forged");
     let x = compensating_root(acc, &digest_of(&row.values[0]), &digest_of(&forged));
     row.values[0] = forged;

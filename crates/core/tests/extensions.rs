@@ -95,10 +95,11 @@ fn lemma1_value_domain_identity() {
 
     // Recompute the result tuples' exponent product from raw values.
     let schema = table.schema();
+    let mut inputs = schema.attribute_inputs(0..schema.num_columns());
     let mut result_exp = acc.identity();
     for row in &resp.rows {
         for (col, v) in row.values.iter().enumerate() {
-            let e = acc.exp_from_bytes(&schema.attribute_digest_input(col, row.key, v));
+            let e = acc.exp_from_bytes(inputs.input(col, row.key, v));
             result_exp = acc.combine(&result_exp, &e);
         }
     }

@@ -8,6 +8,30 @@
 //! All three follow the same streaming structure: 512-bit blocks,
 //! Merkle–Damgård padding with a 64-bit length suffix, and a per-block
 //! compression function.
+//!
+//! # The SHA-256 kernel
+//!
+//! Every SHA-256 in the workspace — formula (1)'s attribute exponents
+//! (`Accumulator::exp_from_bytes`, whose 58-byte input plus 4-byte
+//! counter pads to two blocks), RSA's EMSA encoding, the Merkle
+//! baseline — goes through one compression function,
+//! [`Sha256::compress`]. On x86-64 it runs `compress_ni`, the x86 SHA
+//! extensions (`sha256rnds2` for two rounds, `sha256msg1`/`sha256msg2`
+//! for the message schedule), when `is_x86_feature_detected!` reports
+//! `sha`, `sse2`, `ssse3` and `sse4.1`; std caches that answer, so the
+//! check is a few loads per block. That call is the workspace's one
+//! audited block of code the compiler cannot prove sound on its own:
+//! `compress_ni` is a safe `#[target_feature]` function whose body uses
+//! only value intrinsics (no pointers, no unaligned loads), and calling
+//! it is sound exactly when the run-time check passed.
+//!
+//! Everywhere else — other targets, x86 CPUs without the extensions —
+//! [`Sha256::compress_soft`] runs: the portable FIPS 180-2 compression.
+//! It stays for those machines and as the oracle: the tests compare
+//! both kernels on random states and blocks, on every message length
+//! up to 300 bytes (one-shot and streamed) and on the FIPS vectors. The
+//! two kernels compute the same function, so every digest, signature
+//! and stored byte is the same whichever one ran.
 
 /// Supported hash algorithms, selectable at table-definition time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -138,14 +162,13 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                Self::compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
         while data.len() >= 64 {
             let (block, rest) = data.split_at(64);
-            self.compress(block.try_into().unwrap());
+            Self::compress(&mut self.state, block.try_into().unwrap());
             data = rest;
         }
         if !data.is_empty() {
@@ -158,7 +181,7 @@ impl Sha256 {
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
         pad_and_compress(self.buf, self.buf_len, bit_len.to_be_bytes(), |b| {
-            self.compress(b)
+            Self::compress(&mut self.state, b)
         });
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -167,7 +190,37 @@ impl Sha256 {
         out
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
+    /// One compression of `block` into `state` — the kernel every
+    /// SHA-256 in the workspace runs: `compress_ni` on the x86 SHA
+    /// extensions when this CPU reports them (std caches the answer),
+    /// otherwise [`compress_soft`](Self::compress_soft). Both leave the
+    /// same state.
+    #[allow(unsafe_code)]
+    pub fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        #[cfg(target_arch = "x86_64")]
+        if has_sha_extensions() {
+            // SAFETY: `compress_ni` is only sound on a CPU with the sha,
+            // sse2, ssse3 and sse4.1 features, and `has_sha_extensions`
+            // has just checked all four at run time.
+            unsafe { compress_ni(state, block) };
+            return;
+        }
+        Self::compress_soft(state, block);
+    }
+
+    /// Which kernel [`compress`](Self::compress) runs on this CPU.
+    pub fn kernel() -> &'static str {
+        if has_sha_extensions() {
+            "x86 SHA extensions"
+        } else {
+            "portable"
+        }
+    }
+
+    /// The portable compression function (FIPS 180-2 §6.2.2): the
+    /// fallback on every other CPU and target, and the oracle the SHA
+    /// extension kernel is tested against.
+    pub fn compress_soft(state: &mut [u32; 8], block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for i in 0..16 {
             w[i] = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().unwrap());
@@ -180,7 +233,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -201,10 +254,107 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
     }
+}
+
+/// Whether this CPU has what [`compress_ni`] needs.
+fn has_sha_extensions() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("sse2")
+            && std::arch::is_x86_feature_detected!("ssse3")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// [`Sha256::compress_soft`] on the x86 SHA extensions: sixteen groups
+/// of four rounds, each two `sha256rnds2`, with the message schedule
+/// extended four words at a time by `sha256msg1`/`sha256msg2`. The
+/// instructions keep the working variables as `ABEF`/`CDGH` halves, so
+/// the state is shuffled into that layout on entry and back on exit.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn compress_ni(state: &mut [u32; 8], block: &[u8; 64]) {
+    use std::arch::x86_64::*;
+
+    // Byte-reverse every 32-bit lane: message words are big-endian.
+    let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+    let word = |i: usize| i32::from_le_bytes(block[4 * i..4 * i + 4].try_into().unwrap());
+    macro_rules! load {
+        ($i:expr) => {
+            _mm_shuffle_epi8(
+                _mm_set_epi32(
+                    word(4 * $i + 3),
+                    word(4 * $i + 2),
+                    word(4 * $i + 1),
+                    word(4 * $i),
+                ),
+                bswap,
+            )
+        };
+    }
+    let lane = |i: usize| state[i] as i32;
+    let dcba = _mm_set_epi32(lane(3), lane(2), lane(1), lane(0));
+    let efgh = _mm_set_epi32(lane(7), lane(6), lane(5), lane(4));
+    let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+    let hgfe = _mm_shuffle_epi32(efgh, 0x1b);
+    let mut abef = _mm_alignr_epi8(cdab, hgfe, 8);
+    let mut cdgh = _mm_blend_epi16(hgfe, cdab, 0xf0);
+    let (abef_in, cdgh_in) = (abef, cdgh);
+
+    // Four rounds on message words `w` (plus their constants): two
+    // rounds from the low half, two from the high half.
+    macro_rules! rounds4 {
+        ($w:expr, $i:expr) => {{
+            let k = _mm_set_epi32(
+                SHA256_K[4 * $i + 3] as i32,
+                SHA256_K[4 * $i + 2] as i32,
+                SHA256_K[4 * $i + 1] as i32,
+                SHA256_K[4 * $i] as i32,
+            );
+            let wk = _mm_add_epi32($w, k);
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+        }};
+    }
+
+    let mut w = [load!(0), load!(1), load!(2), load!(3)];
+    for (i, &wi) in w.iter().enumerate() {
+        rounds4!(wi, i);
+    }
+    for i in 4..16 {
+        // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16], four at once.
+        let [w0, w1, w2, w3] = w;
+        let sum = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        let w4 = _mm_sha256msg2_epu32(sum, w3);
+        rounds4!(w4, i);
+        w = [w1, w2, w3, w4];
+    }
+
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    let feba = _mm_shuffle_epi32(abef, 0x1b);
+    let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+    let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+    let hgef = _mm_alignr_epi8(dchg, feba, 8);
+    *state = [
+        _mm_extract_epi32(dcba, 0) as u32,
+        _mm_extract_epi32(dcba, 1) as u32,
+        _mm_extract_epi32(dcba, 2) as u32,
+        _mm_extract_epi32(dcba, 3) as u32,
+        _mm_extract_epi32(hgef, 0) as u32,
+        _mm_extract_epi32(hgef, 1) as u32,
+        _mm_extract_epi32(hgef, 2) as u32,
+        _mm_extract_epi32(hgef, 3) as u32,
+    ];
 }
 
 /// One-shot SHA-256.
@@ -499,6 +649,108 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split {split}");
+        }
+    }
+
+    /// SHA-256 of `data` on the portable kernel alone: padded by hand,
+    /// not by the streaming code, and compressed with `compress_soft`.
+    fn sha256_soft(data: &[u8]) -> [u8; 32] {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = Sha256::new().state;
+        for block in msg.chunks_exact(64) {
+            Sha256::compress_soft(&mut state, block.try_into().unwrap());
+        }
+        let mut out = [0u8; 32];
+        for (i, word) in state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// SplitMix64: a fixed-seed stream of test inputs.
+    fn splitmix(seed: &mut u64) -> u64 {
+        *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The dispatched kernel (the SHA extensions, where the CPU has
+    /// them) equals the portable one on 10 000 random states and blocks.
+    #[test]
+    fn sha256_kernels_agree_on_random_blocks() {
+        println!("sha256 kernel under test: {}", Sha256::kernel());
+        let mut seed = 1;
+        for i in 0..10_000 {
+            let state: [u32; 8] = core::array::from_fn(|_| splitmix(&mut seed) as u32);
+            let block: [u8; 64] = core::array::from_fn(|_| splitmix(&mut seed) as u8);
+            let (mut fast, mut soft) = (state, state);
+            Sha256::compress(&mut fast, &block);
+            Sha256::compress_soft(&mut soft, &block);
+            assert_eq!(fast, soft, "pair {i} on the {} kernel", Sha256::kernel());
+        }
+    }
+
+    /// Every message length up to 300 bytes — so every padding case of
+    /// the first few blocks (55/56, 63/64, 119/120, …) — hashed in one
+    /// shot and streamed in two and three pieces, against the portable
+    /// kernel's hand-padded digest.
+    #[test]
+    fn sha256_every_length_matches_portable() {
+        println!("sha256 kernel under test: {}", Sha256::kernel());
+        let mut seed = 2;
+        let data: Vec<u8> = (0..300).map(|_| splitmix(&mut seed) as u8).collect();
+        for len in 0..=300 {
+            let msg = &data[..len];
+            let want = sha256_soft(msg);
+            assert_eq!(sha256(msg), want, "one shot, {len} bytes");
+            let a = splitmix(&mut seed) as usize % (len + 1);
+            let b = a + splitmix(&mut seed) as usize % (len - a + 1);
+            let mut h = Sha256::new();
+            h.update(&msg[..a]);
+            h.update(&msg[a..]);
+            assert_eq!(h.finalize(), want, "{len} bytes split at {a}");
+            let mut h = Sha256::new();
+            for part in [&msg[..a], &msg[a..b], &msg[b..]] {
+                h.update(part);
+            }
+            assert_eq!(h.finalize(), want, "{len} bytes split at {a} and {b}");
+        }
+    }
+
+    /// The FIPS 180-2 examples through both kernels.
+    #[test]
+    fn sha256_fips_vectors_on_both_kernels() {
+        println!("sha256 kernel under test: {}", Sha256::kernel());
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 3] = [
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        for (msg, want) in vectors {
+            assert_eq!(hex(&sha256(msg)), want, "dispatched, {} bytes", msg.len());
+            assert_eq!(
+                hex(&sha256_soft(msg)),
+                want,
+                "portable, {} bytes",
+                msg.len()
+            );
         }
     }
 

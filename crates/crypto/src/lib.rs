@@ -21,7 +21,7 @@
 //!   (Section 3.4's defence against edge servers replaying stale data
 //!   signed with an old private key).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod accum;

@@ -1,6 +1,7 @@
 //! Property tests for the cryptographic substrate: accumulator algebra
 //! laws (the foundation of the paper's commutative VOs), hash streaming
-//! consistency, and signature round-trips.
+//! consistency, the SHA-256 kernels against each other, and signature
+//! round-trips.
 
 use proptest::prelude::*;
 use vbx_crypto::accum::DigestRole;
@@ -202,5 +203,69 @@ proptest! {
             fold = acc.combine(&fold, e);
         }
         prop_assert_eq!(acc.combine_all(exps.iter()), fold);
+    }
+}
+
+/// SHA-256 of `data` on the portable kernel alone: padded here, not by
+/// the streaming hasher, and compressed with `Sha256::compress_soft`.
+fn sha256_portable(data: &[u8]) -> [u8; 32] {
+    let mut msg = data.to_vec();
+    msg.push(0x80);
+    while msg.len() % 64 != 56 {
+        msg.push(0);
+    }
+    msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+    let mut state = [
+        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+        0x5be0cd19,
+    ];
+    for block in msg.chunks_exact(64) {
+        Sha256::compress_soft(&mut state, block.try_into().unwrap());
+    }
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// The dispatched compression (the x86 SHA extensions where the CPU
+    /// has them) equals the portable one on any state and block.
+    #[test]
+    fn sha256_compress_matches_portable(state in any::<[u32; 8]>(), block in any::<[u8; 64]>()) {
+        let (mut fast, mut soft) = (state, state);
+        Sha256::compress(&mut fast, &block);
+        Sha256::compress_soft(&mut soft, &block);
+        prop_assert_eq!(fast, soft);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every length 0..=300 — each padding case of the first blocks —
+    /// in one shot and streamed in three pieces cut at random points,
+    /// against the portable kernel.
+    #[test]
+    fn sha256_every_length_matches_portable(
+        data in proptest::collection::vec(any::<u8>(), 300..=300),
+        cuts in any::<(usize, usize)>(),
+    ) {
+        println!("sha256 kernel under test: {}", Sha256::kernel());
+        for len in 0..=300 {
+            let msg = &data[..len];
+            let want = sha256_portable(msg);
+            prop_assert_eq!(vbx_crypto::sha256(msg), want);
+            let a = cuts.0 % (len + 1);
+            let b = a + cuts.1 % (len - a + 1);
+            let mut h = Sha256::new();
+            h.update(&msg[..a]);
+            h.update(&msg[a..b]);
+            h.update(&msg[b..]);
+            prop_assert_eq!(h.finalize(), want);
+        }
     }
 }

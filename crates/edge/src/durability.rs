@@ -39,8 +39,8 @@ use std::sync::Arc;
 use vbx_core::durable::{decode_stamp, encode_stamp};
 use vbx_core::scheme::{AuthScheme, Commit, DeltaBatch};
 use vbx_core::{
-    decode_wal_record, encode_wal_commit, encode_wal_heartbeat, CoreError, DurableScheme,
-    FreshnessStamp, WalRecord,
+    decode_wal_record, encode_wal_commit, encode_wal_commit_into, encode_wal_heartbeat, CoreError,
+    DurableScheme, FreshnessStamp, WalRecord,
 };
 use vbx_crypto::{KeyRegistry, Signer};
 use vbx_query::JoinViewDef;
@@ -438,9 +438,14 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
+/// Append a `u32` length and then what `write` appends, patching the
+/// length in afterwards: the bytes are written in place, never copied.
+fn put_bytes_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    put_u32(out, 0);
+    write(out);
+    let len = u32::try_from(out.len() - at - 4).expect("checkpoint entry < 4 GiB");
+    out[at..at + 4].copy_from_slice(&len.to_be_bytes());
 }
 
 fn get_u32(buf: &mut &[u8]) -> Result<u32, StorageError> {
@@ -481,7 +486,8 @@ fn get_str(buf: &mut &[u8]) -> Result<String, StorageError> {
 /// Serialise the full recoverable state into one checkpoint image.
 /// Deterministic: `BTreeMap` iteration orders every section, and all
 /// signatures are stored, never re-derived. The stores — nearly all of
-/// the image — are encoded straight into the image buffer.
+/// the image — and the log tail's records are encoded straight into the
+/// image buffer, each length patched in after it.
 fn checkpoint_image<S: DurableScheme>(central: &CentralServer<S>) -> Vec<u8> {
     let mut builder = CheckpointBuilder::new();
 
@@ -508,22 +514,33 @@ fn checkpoint_image<S: DurableScheme>(central: &CentralServer<S>) -> Vec<u8> {
     }
     builder.add("views", &views);
 
+    // The stores are nearly all of the image: size the buffer for them
+    // (and the small sections around them) once, exactly, instead of
+    // letting it double past them.
+    let stores_len: usize = central
+        .stores
+        .iter()
+        .map(|(name, store)| 8 + name.len() + central.scheme.encoded_store_len(store))
+        .sum();
+    builder.reserve(stores_len + 4096);
     builder.add_with("stores", |out| {
         put_u32(out, central.stores.len() as u32);
         for (name, store) in &central.stores {
             put_str(out, name);
-            put_bytes(out, &central.scheme.encode_store(store));
+            put_bytes_with(out, |out| central.scheme.encode_store_into(store, out));
         }
     });
 
     // Delta-log tail: each entry as a full WAL record (clock 0 — the
     // real clock lives in "meta"), so one codec covers both files.
-    let mut log = Vec::new();
-    put_u32(&mut log, central.log.entries().count() as u32);
-    for entry in central.log.entries() {
-        put_bytes(&mut log, &encode_wal_commit(&central.scheme, 0, entry));
-    }
-    builder.add("log", &log);
+    builder.add_with("log", |out| {
+        put_u32(out, central.log.entries().count() as u32);
+        for entry in central.log.entries() {
+            put_bytes_with(out, |out| {
+                encode_wal_commit_into(&central.scheme, 0, entry, out)
+            });
+        }
+    });
 
     let mut stamps = Vec::new();
     put_u32(&mut stamps, central.stamps.len() as u32);

@@ -271,7 +271,9 @@ impl<const L: usize> EdgeServer<VbScheme<L>> {
                     .map_err(|e| match e {
                         EdgeError::UnknownTable(t) => EngineError::UnknownTable(t),
                         // `serve` can only fail on replica lookup.
-                        EdgeError::OutOfOrder { .. } | EdgeError::Scheme(_) => {
+                        EdgeError::OutOfOrder { .. }
+                        | EdgeError::SeqOverflow { .. }
+                        | EdgeError::Scheme(_) => {
                             unreachable!("serve fails only on unknown tables")
                         }
                     })?;

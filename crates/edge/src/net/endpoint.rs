@@ -59,6 +59,10 @@ fn edge_err_frame<E: std::fmt::Debug>(e: &EdgeError<E>) -> Vec<Frame> {
             ErrorCode::OutOfOrder,
             format!("expected seq {expected}, got {got}"),
         ),
+        EdgeError::SeqOverflow { applied, count } => err_frame(
+            ErrorCode::BadRequest,
+            format!("skipping {count} deltas from seq {applied} overflows"),
+        ),
         EdgeError::Scheme(e) => err_frame(ErrorCode::Scheme, format!("{e:?}")),
     }
 }

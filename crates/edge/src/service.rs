@@ -39,6 +39,13 @@ pub enum EdgeError<E> {
         /// Sequence number that arrived.
         got: u64,
     },
+    /// A skipped sequence range would run past `u64::MAX`.
+    SeqOverflow {
+        /// Sequence number the replica expected next (left unchanged).
+        applied: u64,
+        /// Length of the range that was asked to be skipped.
+        count: u64,
+    },
     /// Scheme-level failure (divergence, forged delta, ...).
     Scheme(E),
 }
@@ -49,6 +56,12 @@ impl<E: core::fmt::Display> core::fmt::Display for EdgeError<E> {
             EdgeError::UnknownTable(t) => write!(f, "no replica of {t}"),
             EdgeError::OutOfOrder { expected, got } => {
                 write!(f, "delta {got} applied out of order (expected {expected})")
+            }
+            EdgeError::SeqOverflow { applied, count } => {
+                write!(
+                    f,
+                    "skipping {count} deltas from seq {applied} overflows u64"
+                )
             }
             EdgeError::Scheme(e) => write!(f, "{e}"),
         }
@@ -395,7 +408,8 @@ impl<S: AuthScheme> EdgeService<S> {
     /// on tables this edge does not replicate. Sharded deployments
     /// deliver every table's deltas in one global sequence, and an edge
     /// must advance past foreign tables' entries to keep its position
-    /// contiguous.
+    /// contiguous. A range that would end past `u64::MAX` is
+    /// [`EdgeError::SeqOverflow`] and leaves the position unchanged.
     pub fn skip_deltas(&self, start_seq: u64, count: u64) -> Result<(), EdgeError<S::Error>> {
         let mut applied = self.applied_seq.lock();
         if start_seq != *applied {
@@ -404,7 +418,10 @@ impl<S: AuthScheme> EdgeService<S> {
                 got: start_seq,
             });
         }
-        *applied += count;
+        *applied = applied.checked_add(count).ok_or(EdgeError::SeqOverflow {
+            applied: *applied,
+            count,
+        })?;
         Ok(())
     }
 
@@ -426,7 +443,7 @@ impl<S: AuthScheme> EdgeService<S> {
         let mut spins = 0u32;
         while self.locks.try_acquire_all(txn, resources, mode).is_err() {
             spins += 1;
-            if spins % 64 == 0 {
+            if spins.is_multiple_of(64) {
                 std::thread::sleep(std::time::Duration::from_micros(20));
             } else {
                 std::thread::yield_now();
@@ -853,7 +870,11 @@ mod tests {
         let plain = svc.query_range("items", &q).unwrap();
         let filtered = svc
             .serve("items", &q, 0xFEED, |store| {
-                vbx_core::execute(store, &q, Some(&|t: &vbx_storage::Tuple| t.key % 2 == 0))
+                vbx_core::execute(
+                    store,
+                    &q,
+                    Some(&|t: &vbx_storage::Tuple| t.key.is_multiple_of(2)),
+                )
             })
             .unwrap();
         assert!(!Arc::ptr_eq(&plain, &filtered));

@@ -1,9 +1,12 @@
 //! Memory pin for checkpoint encoding: `encode_state()` — the exact
-//! checkpoint image — must not need more than 3× the image in transient
-//! heap. The image is written in place into one buffer and the rows are
-//! stored once (in the authenticated stores), so what it costs above
-//! the live state is the image itself, the buffer's spare capacity and
-//! one store's encoding at a time.
+//! checkpoint image — must not need more than 1.1× the image in
+//! transient heap. The rows are stored once (in the authenticated
+//! stores), the image buffer is sized up front from the stores' exact
+//! encoded lengths, and every store and log record is encoded in place
+//! into it, so what it costs above the live state is the image itself
+//! plus a few KiB of small sections and slack (1.00× measured). A copy
+//! of one store's encoding, or a buffer grown by doubling, breaks the
+//! bound.
 //!
 //! A counting global allocator measures the peak; this binary holds
 //! exactly one test so nothing else allocates while it measures.
@@ -63,7 +66,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
-fn encode_state_transient_heap_is_at_most_three_images() {
+fn encode_state_transient_heap_is_within_a_tenth_of_the_image() {
     let signer: Arc<dyn Signer> = Arc::new(MockSigner::new(43));
     let scheme = VbScheme::<4>::new(Acc256::test_default(), VbTreeConfig::default());
     let mut central = CentralServer::with_scheme(scheme, signer);
@@ -88,7 +91,7 @@ fn encode_state_transient_heap_is_at_most_three_images() {
         image.len()
     );
     assert!(
-        transient <= 3 * image.len(),
+        transient * 10 <= 11 * image.len(),
         "encode_state() needed {ratio:.2}x its {} B image in transient heap",
         image.len()
     );

@@ -67,7 +67,7 @@ fn readers_verify_while_writer_applies_100_deltas() {
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) || i < 20 {
                     // Hot range (cache-friendly) and a rotating window.
-                    let q = if i % 3 == 0 {
+                    let q = if i.is_multiple_of(3) {
                         RangeQuery::select_all(10, 60)
                     } else {
                         let lo = (reader * 31 + i * 7) % rows;
@@ -327,4 +327,36 @@ fn compact_tamper_bypasses_cache_and_is_detected() {
         .query_compact("items", &queries, Some(&*verifier))
         .unwrap();
     assert_eq!(again, honest);
+}
+
+/// A skipped range that would run past `u64::MAX` is refused with a
+/// typed error — no overflow panic, no wrapped position — and the next
+/// honest commit still applies at the unchanged position.
+#[test]
+fn skip_deltas_overflow_is_refused_and_position_kept() {
+    let (mut central, edge) = setup(50);
+    edge.apply_delta_batch(&central.delete("items", 3).unwrap())
+        .unwrap();
+    assert_eq!(edge.applied_seq(), 1);
+
+    let err = edge.service().skip_deltas(1, u64::MAX).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            vbx_edge::EdgeError::SeqOverflow {
+                applied: 1,
+                count: u64::MAX
+            }
+        ),
+        "{err}"
+    );
+    assert_eq!(edge.applied_seq(), 1, "a refused skip moves nothing");
+
+    edge.apply_delta_batch(&central.delete("items", 4).unwrap())
+        .unwrap();
+    assert_eq!(edge.applied_seq(), 2);
+    assert_eq!(
+        edge.tree("items").unwrap().root_digest().exp,
+        central.tree("items").unwrap().root_digest().exp
+    );
 }

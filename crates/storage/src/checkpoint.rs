@@ -71,6 +71,12 @@ impl CheckpointBuilder {
         Self { buf }
     }
 
+    /// Make room for exactly `additional` more bytes, so sections of a
+    /// known size are written without the buffer growing past them.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve_exact(additional);
+    }
+
     /// Append one section. Keys must be unique and ≤ `u16::MAX` bytes;
     /// values must be < 4 GiB.
     pub fn add(&mut self, key: &str, value: &[u8]) {

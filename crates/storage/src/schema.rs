@@ -56,8 +56,8 @@ pub struct AttributeInputs {
 }
 
 impl AttributeInputs {
-    /// What `Schema::attribute_digest_input` returns for the `slot`-th
-    /// of the columns this was made for; valid until the next call.
+    /// Formula (1)'s input for `value` of the `slot`-th of the columns
+    /// this was made for, under `key`; valid until the next call.
     pub fn input(&mut self, slot: usize, key: u64, value: &Value) -> &[u8] {
         let start = if slot == 0 { 0 } else { self.ends[slot - 1] };
         self.buf.clear();
@@ -125,21 +125,6 @@ impl Schema {
         Ok(())
     }
 
-    /// The canonical digest input of formula (1):
-    /// `db ‖ table ‖ attr ‖ key ‖ value`, with each component
-    /// length-prefixed so that no two distinct inputs concatenate to the
-    /// same byte string.
-    pub fn attribute_digest_input(&self, column: usize, key: u64, value: &Value) -> Vec<u8> {
-        let attr = &self.columns[column].name;
-        let mut out = Vec::with_capacity(
-            self.database.len() + self.table.len() + attr.len() + 32 + value.wire_len(),
-        );
-        self.attribute_digest_prefix(column, &mut out);
-        out.extend_from_slice(&key.to_be_bytes());
-        value.encode_into(&mut out);
-        out
-    }
-
     /// Append the `db ‖ table ‖ attr` head of formula (1)'s input — the
     /// part that is the same for every value of a column.
     fn attribute_digest_prefix(&self, column: usize, out: &mut Vec<u8>) {
@@ -153,14 +138,17 @@ impl Schema {
         }
     }
 
-    /// [`attribute_digest_input`](Self::attribute_digest_input) for many
-    /// values of the given `columns` (valid indices, e.g. a query's
-    /// returned columns) without an allocation per value.
-    pub fn attribute_inputs(&self, columns: &[usize]) -> AttributeInputs {
+    /// The canonical digest inputs of formula (1),
+    /// `db ‖ table ‖ attr ‖ key ‖ value` with each name length-prefixed
+    /// so that no two distinct inputs concatenate to the same byte
+    /// string, for values of the given `columns` (valid indices: all of
+    /// them, or a query's returned columns) — one reused buffer, no
+    /// allocation per value.
+    pub fn attribute_inputs(&self, columns: impl IntoIterator<Item = usize>) -> AttributeInputs {
         let mut heads = Vec::new();
         let ends = columns
-            .iter()
-            .map(|&col| {
+            .into_iter()
+            .map(|col| {
                 self.attribute_digest_prefix(col, &mut heads);
                 heads.len()
             })
@@ -192,6 +180,15 @@ impl Schema {
                 ColumnType::Bytes => 4,
             });
         }
+    }
+
+    /// Bytes [`encode_into`](Self::encode_into) appends.
+    pub fn encoded_len(&self) -> usize {
+        12 + self.database.len()
+            + self.table.len()
+            + self.key_name.len()
+            + 4
+            + self.columns.iter().map(|c| 5 + c.name.len()).sum::<usize>()
     }
 
     /// Decode a schema, advancing `buf`.
@@ -303,17 +300,22 @@ mod tests {
             .is_err());
     }
 
+    /// Formula (1)'s input of one value, through a fresh builder.
+    fn digest_input(s: &Schema, column: usize, key: u64, value: &Value) -> Vec<u8> {
+        s.attribute_inputs([column]).input(0, key, value).to_vec()
+    }
+
     #[test]
     fn digest_input_namespaced() {
         let s = schema();
-        let a = s.attribute_digest_input(0, 1, &Value::from("alice"));
-        let b = s.attribute_digest_input(1, 1, &Value::from("alice"));
+        let a = digest_input(&s, 0, 1, &Value::from("alice"));
+        let b = digest_input(&s, 1, 1, &Value::from("alice"));
         assert_ne!(a, b, "different attributes must hash differently");
-        let c = s.attribute_digest_input(0, 2, &Value::from("alice"));
+        let c = digest_input(&s, 0, 2, &Value::from("alice"));
         assert_ne!(a, c, "different keys must hash differently");
 
         let other = Schema::new("bank2", "accounts", "id", s.columns.clone());
-        let d = other.attribute_digest_input(0, 1, &Value::from("alice"));
+        let d = digest_input(&other, 0, 1, &Value::from("alice"));
         assert_ne!(a, d, "different databases must hash differently");
     }
 
@@ -323,13 +325,19 @@ mod tests {
         // Columns out of order and repeated: slots index the list given.
         let columns = [1usize, 0, 1];
         let values = [Value::from(7i64), Value::from("bob"), Value::from(-1i64)];
-        let mut inputs = s.attribute_inputs(&columns);
+        let mut inputs = s.attribute_inputs(columns);
         for key in [0u64, 42, u64::MAX] {
             for (slot, (&col, v)) in columns.iter().zip(&values).enumerate() {
-                assert_eq!(
-                    inputs.input(slot, key, v),
-                    s.attribute_digest_input(col, key, v)
-                );
+                // db ‖ table ‖ attr, each u32-length-prefixed, then the
+                // key and the value's own encoding.
+                let mut want = Vec::new();
+                for part in ["bank", "accounts", &s.columns[col].name] {
+                    want.extend_from_slice(&(part.len() as u32).to_be_bytes());
+                    want.extend_from_slice(part.as_bytes());
+                }
+                want.extend_from_slice(&key.to_be_bytes());
+                v.encode_into(&mut want);
+                assert_eq!(inputs.input(slot, key, v), want);
             }
         }
     }
@@ -341,8 +349,8 @@ mod tests {
         let s1 = Schema::new("ab", "c", "id", vec![ColumnDef::new("x", ColumnType::Int)]);
         let s2 = Schema::new("a", "bc", "id", vec![ColumnDef::new("x", ColumnType::Int)]);
         assert_ne!(
-            s1.attribute_digest_input(0, 1, &Value::from(1i64)),
-            s2.attribute_digest_input(0, 1, &Value::from(1i64))
+            digest_input(&s1, 0, 1, &Value::from(1i64)),
+            digest_input(&s2, 0, 1, &Value::from(1i64))
         );
     }
 
