@@ -18,7 +18,7 @@
 use crate::freshness_wire_bytes;
 use std::collections::BTreeMap;
 use vbx_core::ResponseFreshness;
-use vbx_crypto::accum::{Accumulator, DigestRole, SignedDigest};
+use vbx_crypto::accum::{Accumulator, DigestRole, ExpProduct, SignedDigest};
 use vbx_crypto::{SigVerifier, Signer};
 use vbx_storage::{Schema, StorageError, Table, Tuple, Value};
 
@@ -169,14 +169,14 @@ impl<const L: usize> NaiveAuthStore<L> {
         tuple: &Tuple,
     ) -> (Vec<SignedDigest<L>>, SignedDigest<L>) {
         let mut attr_digests = Vec::with_capacity(tuple.values.len());
-        let mut tuple_exp = acc.identity();
+        let mut tuple_exp = ExpProduct::new();
         let mut inputs = schema.attribute_inputs(0..schema.num_columns());
         for (col, v) in tuple.values.iter().enumerate() {
             let e = acc.exp_from_bytes(inputs.input(col, tuple.key, v));
-            tuple_exp = acc.combine(&tuple_exp, &e);
+            tuple_exp.fold(acc, &e);
             attr_digests.push(acc.sign_digest(signer, DigestRole::Attribute, &e));
         }
-        let tuple_digest = acc.sign_digest(signer, DigestRole::Tuple, &tuple_exp);
+        let tuple_digest = acc.sign_digest(signer, DigestRole::Tuple, &tuple_exp.value(acc));
         (attr_digests, tuple_digest)
     }
 
@@ -268,7 +268,7 @@ impl<const L: usize> NaiveAuthStore<L> {
             if e.tuple.key != key || e.attr_digests.len() != e.tuple.values.len() {
                 return Err(NaiveError::Malformed { key });
             }
-            let mut tuple_exp = acc.identity();
+            let mut tuple_exp = ExpProduct::new();
             for (col, (v, d)) in e.tuple.values.iter().zip(&e.attr_digests).enumerate() {
                 if acc.exp_from_bytes(inputs.input(col, key, v)) != d.exp {
                     return Err(NaiveError::DigestMismatch { key });
@@ -276,9 +276,9 @@ impl<const L: usize> NaiveAuthStore<L> {
                 if !acc.verify_digest(verifier, d) {
                     return Err(NaiveError::BadSignature { key });
                 }
-                tuple_exp = acc.combine(&tuple_exp, &d.exp);
+                tuple_exp.fold(acc, &d.exp);
             }
-            if tuple_exp != e.tuple_digest.exp {
+            if tuple_exp.value(acc) != e.tuple_digest.exp {
                 return Err(NaiveError::DigestMismatch { key });
             }
             if !acc.verify_digest(verifier, &e.tuple_digest) {
@@ -439,17 +439,17 @@ impl<const L: usize> NaiveAuthStore<L> {
             if row.values.len() != returned.len() || row.filtered_attrs.len() != filtered_count {
                 return Err(NaiveError::Malformed { key: row.key });
             }
-            let mut exp = acc.identity();
+            let mut exp = ExpProduct::new();
             for (slot, value) in row.values.iter().enumerate() {
                 let e = acc.exp_from_bytes(inputs.input(slot, row.key, value));
-                exp = acc.combine(&exp, &e);
+                exp.fold(acc, &e);
             }
             for d in &row.filtered_attrs {
                 sig_checks += 1;
                 if d.role != DigestRole::Attribute || !acc.verify_digest(verifier, d) {
                     return Err(NaiveError::BadSignature { key: row.key });
                 }
-                exp = acc.combine(&exp, &d.exp);
+                exp.fold(acc, &d.exp);
             }
             sig_checks += 1;
             if row.tuple_digest.role != DigestRole::Tuple
@@ -457,7 +457,7 @@ impl<const L: usize> NaiveAuthStore<L> {
             {
                 return Err(NaiveError::BadSignature { key: row.key });
             }
-            if exp != row.tuple_digest.exp {
+            if exp.value(acc) != row.tuple_digest.exp {
                 return Err(NaiveError::DigestMismatch { key: row.key });
             }
         }

@@ -1,6 +1,6 @@
 //! The `repro -- serve` section: a closed-loop multi-threaded benchmark
 //! of the concurrent edge serving subsystem (snapshot replicas + VO
-//! cache + Section 3.4 locks).
+//! cache).
 //!
 //! N reader threads issue a verified query mix derived from
 //! [`vbx_storage::workload::WorkloadSpec`] (a hot range plus rotating
@@ -175,7 +175,6 @@ pub fn run_serve(rows: u64, smoke: bool, write_batch: &[usize]) -> Vec<BenchReco
     let qps = total as f64 / (wall_ns / 1e9);
     let delta_mean = delta_ns.iter().sum::<u64>() as f64 / delta_ns.len().max(1) as f64;
     let cache = edge.service().cache_stats();
-    let locks = edge.service().lock_stats();
 
     // ---- cold vs cached, measured without the writer racing ----
     // One quiescing delta empties the table's cache (readers may have
@@ -254,10 +253,6 @@ pub fn run_serve(rows: u64, smoke: bool, write_batch: &[usize]) -> Vec<BenchReco
     println!(
         "cache                  : {} hits / {} misses / {} invalidated / {} evicted",
         cache.hits, cache.misses, cache.invalidated, cache.evicted
-    );
-    println!(
-        "locks                  : {} acquired, {} conflicts (retried), {} released",
-        locks.acquired, locks.conflicts, locks.released
     );
     println!(
         "cache speedup          : {:.2}x (cold {:.1} µs → cached {:.1} µs)",

@@ -396,7 +396,8 @@ pub enum NetMsg {
     CompactReq {
         /// Target table.
         table: String,
-        /// The ranges, merged into one op stream by the edge.
+        /// The ranges, merged into one op stream by the edge. Never
+        /// empty: a frame with no range does not decode.
         queries: Vec<RangeQuery>,
         /// Ask for a condensed (aggregated) signature sweep.
         aggregate: bool,
@@ -665,6 +666,9 @@ impl NetMsg {
                     _ => return Err(corrupt("bad aggregate flag")),
                 };
                 let n = buf.get_u16() as usize;
+                if n == 0 {
+                    return Err(corrupt("compact request without a range"));
+                }
                 let mut queries = Vec::with_capacity(n.min(1 << 12));
                 for _ in 0..n {
                     queries.push(get_range_query(&mut buf)?);

@@ -33,7 +33,7 @@ use crate::tree_codec::get_digest;
 use crate::{CoreError, CostMeter};
 use bytes::Buf;
 use std::sync::Arc;
-use vbx_crypto::accum::{Accumulator, DigestRole, SignedDigest};
+use vbx_crypto::accum::{Accumulator, DigestRole, ExpProduct, SignedDigest};
 use vbx_crypto::{SigScreen, SigVerifier};
 use vbx_storage::{Geometry, Schema, Tuple};
 
@@ -312,7 +312,7 @@ impl<const L: usize> Restorer<L> {
                     keys.push(buf.get_u64());
                 }
                 let mut children = Vec::with_capacity(n_children);
-                let mut expected = self.acc.identity();
+                let mut expected = ExpProduct::new();
                 let mut depth: Option<u32> = None;
                 for i in 0..n_children {
                     let clo = if i == 0 { lo } else { Some(keys[i - 1]) };
@@ -333,9 +333,9 @@ impl<const L: usize> Restorer<L> {
                     }
                     depth = Some(d);
                     children.push(child);
-                    expected = self.acc.combine(&expected, &child_digest.exp);
+                    expected.fold(&self.acc, &child_digest.exp);
                 }
-                if expected != digest.exp {
+                if expected.value(&self.acc) != digest.exp {
                     return Err(SyncError::DigestMismatch(
                         "internal exponent is not the product of its children".into(),
                     ));
@@ -404,7 +404,7 @@ impl<const L: usize> Restorer<L> {
                 return Err(SyncError::Malformed("implausible leaf entry count".into()));
             }
             let mut entries = Vec::with_capacity(n);
-            let mut leaf_exp = self.acc.identity();
+            let mut leaf_exp = ExpProduct::new();
             let mut prev: Option<u64> = None;
             for _ in 0..n {
                 let tuple =
@@ -425,7 +425,7 @@ impl<const L: usize> Restorer<L> {
                 }
                 prev = Some(k);
                 let mut attr_digests = Vec::with_capacity(n_cols);
-                let mut tuple_exp = self.acc.identity();
+                let mut tuple_exp = ExpProduct::new();
                 for (col, val) in tuple.values.iter().enumerate() {
                     let d = get_digest(buf, &self.acc, Some(DigestRole::Attribute))?;
                     if self.acc.exp_from_bytes(inputs.input(col, k, val)) != d.exp {
@@ -435,25 +435,25 @@ impl<const L: usize> Restorer<L> {
                     }
                     self.acc
                         .screen_digest(&mut screen, SigSite::Attribute { key: k, col }, &d)?;
-                    tuple_exp = self.acc.combine(&tuple_exp, &d.exp);
+                    tuple_exp.fold(&self.acc, &d.exp);
                     attr_digests.push(d);
                 }
                 let tuple_digest = get_digest(buf, &self.acc, Some(DigestRole::Tuple))?;
-                if tuple_exp != tuple_digest.exp {
+                if tuple_exp.value(&self.acc) != tuple_digest.exp {
                     return Err(SyncError::DigestMismatch(format!(
                         "tuple digest of key {k} is not the product of its attributes"
                     )));
                 }
                 self.acc
                     .screen_digest(&mut screen, SigSite::Tuple { key: k }, &tuple_digest)?;
-                leaf_exp = self.acc.combine(&leaf_exp, &tuple_digest.exp);
+                leaf_exp.fold(&self.acc, &tuple_digest.exp);
                 entries.push(TupleEntry {
                     tuple,
                     attr_digests,
                     tuple_digest,
                 });
             }
-            if leaf_exp != slot.digest.exp {
+            if leaf_exp.value(&self.acc) != slot.digest.exp {
                 return Err(SyncError::DigestMismatch(
                     "leaf exponent does not match the skeleton's pinned digest".into(),
                 ));

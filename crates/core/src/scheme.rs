@@ -426,23 +426,6 @@ pub trait AuthScheme {
         mode: &TamperMode,
     );
 
-    /// Lock-resource ids an update transaction must hold exclusively.
-    /// Defaults to a single whole-store resource; the VB-tree overrides
-    /// with path/envelope node ids (Section 3.4).
-    fn lock_targets(&self, _store: &Self::Store, _op: &UpdateOp) -> Vec<usize> {
-        vec![0]
-    }
-
-    /// Lock-resource ids a query must hold **shared** — the digests of
-    /// its enveloping subtree, so queries whose subtrees do not overlap
-    /// an in-flight update proceed concurrently (Section 3.4). Defaults
-    /// to the same single whole-store resource as
-    /// [`lock_targets`](Self::lock_targets); the VB-tree overrides with
-    /// the envelope node ids.
-    fn query_lock_targets(&self, _store: &Self::Store, _query: &RangeQuery) -> Vec<usize> {
-        vec![0]
-    }
-
     /// Stamp a response with the serving edge's replication position
     /// (applied seq + newest owner stamp). Default: the scheme's wire
     /// format carries no freshness metadata, so this is a no-op.
@@ -956,18 +939,6 @@ impl<const L: usize> AuthScheme for VbScheme<L> {
         }
     }
 
-    fn lock_targets(&self, store: &VbTree<L>, op: &UpdateOp) -> Vec<usize> {
-        match op {
-            UpdateOp::Insert(tuple) => store.path_node_ids(tuple.key),
-            UpdateOp::Delete(key) => store.path_node_ids(*key),
-            UpdateOp::DeleteRange(lo, hi) => store.envelope_node_ids(*lo, *hi),
-        }
-    }
-
-    fn query_lock_targets(&self, store: &VbTree<L>, query: &RangeQuery) -> Vec<usize> {
-        store.envelope_node_ids(query.lo, query.hi)
-    }
-
     fn supports_projection(&self) -> bool {
         true
     }
@@ -1108,18 +1079,5 @@ mod tests {
             &mut meter,
         )
         .unwrap();
-    }
-
-    #[test]
-    fn lock_targets_follow_the_paths() {
-        let (s, table, signer) = scheme();
-        let store = s.build(&table, &signer);
-        let ins = s.lock_targets(
-            &store,
-            &UpdateOp::Insert(table.iter().next().unwrap().clone()),
-        );
-        assert!(!ins.is_empty());
-        let range = s.lock_targets(&store, &UpdateOp::DeleteRange(0, 59));
-        assert!(range.len() >= ins.len());
     }
 }

@@ -453,7 +453,7 @@ impl<const L: usize> VbTree<L> {
         self.height
     }
 
-    /// Root node id (used by the VO builder and lock manager).
+    /// Root node id (used by the VO builder).
     pub fn root_id(&self) -> NodeId {
         self.root
     }
@@ -481,32 +481,6 @@ impl<const L: usize> VbTree<L> {
     /// Reset the maintenance meter and return its previous value.
     pub fn take_meter(&mut self) -> CostMeter {
         std::mem::take(&mut self.meter)
-    }
-
-    /// Node ids on the root-to-leaf path for `key` — the digests an
-    /// update transaction X-locks (Section 3.4).
-    pub fn path_node_ids(&self, key: u64) -> Vec<NodeId> {
-        let (leaf, path) = self.descend(key);
-        path.iter().map(|&(id, _)| id).chain([leaf]).collect()
-    }
-
-    /// Node ids of the enveloping subtree a query S-locks: the top node
-    /// covering `[lo, hi]` plus everything under it that overlaps.
-    pub fn envelope_node_ids(&self, lo: u64, hi: u64) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.collect_envelope(self.root, lo, hi, &mut out);
-        out
-    }
-
-    fn collect_envelope(&self, id: NodeId, lo: u64, hi: u64, out: &mut Vec<NodeId>) {
-        out.push(id);
-        if let Node::Internal(n) = self.node(id) {
-            for i in 0..n.children.len() {
-                if n.child_overlaps(i, lo, hi) {
-                    self.collect_envelope(n.children[i], lo, hi, out);
-                }
-            }
-        }
     }
 
     /// Borrow a node by id.

@@ -169,29 +169,3 @@ fn md5_based_algebra_end_to_end() {
         .verify(signer.verifier().as_ref(), &q, &resp)
         .is_err());
 }
-
-#[test]
-fn envelope_node_ids_cover_the_query() {
-    // The S-lock set of §3.4: every node whose subtree overlaps the
-    // range, rooted at the enveloping top.
-    let table = WorkloadSpec::new(100, 2, 8).build();
-    let signer = MockSigner::new(8);
-    let tree: VbTree<4> = VbTree::bulk_load(
-        &table,
-        VbTreeConfig::with_fanout(4),
-        Acc256::test_default(),
-        &signer,
-    );
-    let ids = tree.envelope_node_ids(30, 60);
-    assert!(!ids.is_empty());
-    // The root is always in the envelope set (locks are acquired from
-    // the top), and the set grows with the range.
-    assert!(ids.contains(&tree.root_id()));
-    let wider = tree.envelope_node_ids(0, 99);
-    assert!(wider.len() >= ids.len());
-    // Disjoint narrow ranges lock mostly different nodes.
-    let left = tree.envelope_node_ids(0, 5);
-    let right = tree.envelope_node_ids(90, 95);
-    let overlap = left.iter().filter(|i| right.contains(i)).count();
-    assert!(overlap <= 3, "only shared ancestors may overlap");
-}

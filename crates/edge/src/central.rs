@@ -4,12 +4,11 @@
 //! authoritative authenticated stores (VB-trees, Naive digest tables, or
 //! Merkle trees — anything implementing
 //! [`AuthScheme`]). Executes update
-//! transactions under the Section 3.4 locking protocol, records **signed
-//! update deltas** for edge replicas (which cannot sign anything
+//! transactions one at a time (each commit holds `&mut self`), records
+//! **signed update deltas** for edge replicas (which cannot sign anything
 //! themselves), refreshes materialised join views, and manages key
 //! rotation with validity windows for the delayed-propagation mode.
 
-use crate::locks::{LockManager, LockMode};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use vbx_core::scheme::{AuthScheme, Commit, DeltaBatch, TxnBatch, UpdateOp, VbScheme};
@@ -387,7 +386,6 @@ pub struct CentralServer<S: AuthScheme> {
     /// names.
     pub(crate) stores: BTreeMap<String, S::Store>,
     pub(crate) views: Vec<JoinViewDef>,
-    pub(crate) locks: LockManager,
     pub(crate) log: DeltaLog<S::Delta>,
     /// Owner stamps per attested seq, pruned to the log's retention
     /// window and capped at [`STAMP_RETENTION`] (the newest stamp is
@@ -419,7 +417,6 @@ impl<S: AuthScheme> CentralServer<S> {
             registry,
             stores: BTreeMap::new(),
             views: Vec::new(),
-            locks: LockManager::new(),
             log: DeltaLog::unbounded(),
             stamps,
             stamp_commits: false,
@@ -461,9 +458,10 @@ impl<S: AuthScheme> CentralServer<S> {
         self.clock
     }
 
-    /// Lock statistics (tests).
-    pub fn lock_stats(&self) -> crate::locks::LockStats {
-        self.locks.stats()
+    /// Always [`LockStats::default()`](crate::LockStats): commits are
+    /// serialised by `&mut self`, so the central takes no locks.
+    pub fn lock_stats(&self) -> crate::LockStats {
+        crate::LockStats::default()
     }
 
     /// Register a base table: builds and signs its authenticated store.
@@ -736,20 +734,20 @@ where
     /// commit's stamp into what the caller acks and the [`Commit`] that
     /// is logged.
     ///
-    /// X-lock the union of every run's lock targets across all touched
-    /// tables, run each run's [`AuthScheme::update_batch`] signing
-    /// sweep, release, refresh affected views once, stamp the end
-    /// position (cluster mode), push the commit to the log, and append
-    /// its WAL record — append-before-ack: the record (and its fsync)
-    /// lands before the commit is returned to the caller.
+    /// Run each run's [`AuthScheme::update_batch`] signing sweep,
+    /// refresh affected views once, stamp the end position (cluster
+    /// mode), push the commit to the log, and append its WAL record —
+    /// append-before-ack: the record (and its fsync) lands before the
+    /// commit is returned to the caller. No lock is taken: `&mut self`
+    /// already makes the whole commit exclusive.
     ///
     /// All-or-nothing: on any failure up to the sweeps — an unknown
     /// table, or a sweep refusing an op (duplicate key, missing key,
     /// schema mismatch) with the scheme's error — no store, log entry,
     /// or durable record changes at all. A single run needs no undo:
     /// one `update_batch` is atomic by the trait's contract. A store
-    /// already swept when a later run fails is restored from a snapshot
-    /// handle taken under the locks. (A WAL failure poisons the
+    /// already swept when a later run fails is restored from the copy
+    /// taken before its first sweep. (A WAL failure poisons the
     /// durability engine instead: memory may be ahead of disk, so the
     /// server refuses further commits.)
     fn commit_runs<R>(
@@ -766,48 +764,26 @@ where
                 return Err(CentralError::UnknownTable(table.clone()));
             }
         }
-        // Union of every run's lock targets across all touched tables.
-        let lock_txn = self.next_txn();
-        let mut resources: Vec<(String, usize)> = Vec::new();
+        // Every run's signing sweep. With more than one run, undo
+        // snapshots let a failing run roll the whole commit back — never
+        // a table subset.
+        let mut undo: BTreeMap<String, S::Store> = BTreeMap::new();
+        let mut run_payloads: Vec<Vec<S::Delta>> = Vec::with_capacity(runs.len());
         for (table, ops) in &runs {
-            let store = self.stores.get(table).expect("validated above");
-            for op in ops {
-                for target in self.scheme.lock_targets(store, op) {
-                    resources.push((table.clone(), target));
+            let store = self.stores.get_mut(table).expect("validated above");
+            if runs.len() > 1 && !undo.contains_key(table) {
+                undo.insert(table.clone(), store.clone());
+            }
+            match self.scheme.update_batch(store, ops, self.signer.as_ref()) {
+                Ok(payloads) => run_payloads.push(payloads),
+                Err(e) => {
+                    for (t, snapshot) in undo {
+                        self.stores.insert(t, snapshot);
+                    }
+                    return Err(CentralError::Scheme(e));
                 }
             }
         }
-        resources.sort_unstable();
-        resources.dedup();
-        self.locks
-            .try_acquire_all(lock_txn, &resources, LockMode::Exclusive)
-            .expect("single-threaded central server cannot conflict with itself");
-
-        let result = (|| {
-            // Every run's signing sweep. With more than one run, undo
-            // snapshots let a failing run roll the whole commit back —
-            // never a table subset.
-            let mut undo: BTreeMap<String, S::Store> = BTreeMap::new();
-            let mut run_payloads: Vec<Vec<S::Delta>> = Vec::with_capacity(runs.len());
-            for (table, ops) in &runs {
-                let store = self.stores.get_mut(table).expect("validated above");
-                if runs.len() > 1 && !undo.contains_key(table) {
-                    undo.insert(table.clone(), store.clone());
-                }
-                match self.scheme.update_batch(store, ops, self.signer.as_ref()) {
-                    Ok(payloads) => run_payloads.push(payloads),
-                    Err(e) => {
-                        for (t, snapshot) in undo {
-                            self.stores.insert(t, snapshot);
-                        }
-                        return Err(CentralError::Scheme(e));
-                    }
-                }
-            }
-            Ok(run_payloads)
-        })();
-        self.locks.release_all(lock_txn);
-        let run_payloads = result?;
 
         let mut touched: Vec<&str> = runs.iter().map(|(t, _)| t.as_str()).collect();
         touched.sort_unstable();
@@ -912,10 +888,6 @@ impl<S: AuthScheme> CentralServer<S> {
             self.stores.insert(def.name.clone(), store);
         }
         Ok(())
-    }
-
-    fn next_txn(&self) -> u64 {
-        self.clock + 1_000_000 * (self.log.next_seq() + 1)
     }
 }
 

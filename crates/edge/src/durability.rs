@@ -33,7 +33,6 @@
 //!   [`FailpointFs`](vbx_storage::FailpointFs).
 
 use crate::central::{CentralError, CentralServer, DeltaLog};
-use crate::locks::LockManager;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use vbx_core::durable::{decode_stamp, encode_stamp};
@@ -647,7 +646,6 @@ fn restore_from_checkpoint<S: DurableScheme>(
         registry,
         stores,
         views,
-        locks: LockManager::new(),
         log,
         stamps,
         stamp_commits,

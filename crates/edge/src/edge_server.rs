@@ -6,9 +6,9 @@
 //! applies signed update deltas from the central server (it cannot sign
 //! anything itself). Since PR 3 it is a façade over the concurrent
 //! [`EdgeService`]: every table is a [`crate::snapshot::ServingReplica`]
-//! (readers work on immutable snapshots and never block; deltas build
-//! the successor store off to the side and swap it in under the
-//! Section 3.4 digest locks), and repeated queries are answered from the
+//! (readers work on immutable snapshots; deltas build the successor
+//! store off to the side and swap it in under the service's one writer
+//! mutex), and repeated queries are answered from the
 //! service's response/VO cache. For the test suite it can also be placed
 //! into a [`TamperMode`] simulating a compromised host; the tampering
 //! itself is delegated to [`AuthScheme::tamper`], so every attack runs

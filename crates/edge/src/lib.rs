@@ -5,8 +5,8 @@
 //!
 //! * [`central`] — the **trusted central DBMS**: owns the master
 //!   database and the private key, builds and maintains VB-trees,
-//!   executes update transactions under the Section 3.4 locking
-//!   protocol, and propagates signed update deltas to edge servers;
+//!   executes update transactions (serialised by `&mut self`), and
+//!   propagates signed update deltas to edge servers;
 //! * [`edge_server`] — **unsecured edge servers**: hold replicas of the
 //!   tables and VB-trees, answer queries with VOs, and (for the tests)
 //!   can be placed into *tampering* modes that simulate a compromised
@@ -14,12 +14,12 @@
 //! * [`client`] — **trusted clients**: verify results with nothing but
 //!   the public key registry and schema metadata, enforcing freshness
 //!   against the key validity windows;
-//! * [`locks`] — the digest-level shared/exclusive lock manager used by
-//!   update transactions and queries' enveloping subtrees;
 //! * [`snapshot`] / [`service`] — the **concurrent serving subsystem**:
-//!   atomically swappable store snapshots per table, the Section 3.4
-//!   lock protocol wired into both the query and the delta path, and a
-//!   response/VO cache invalidated per table on delta apply;
+//!   atomically swappable immutable store snapshots per table (readers
+//!   execute on a snapshot, writers publish successors built aside
+//!   under one writer mutex — this subsumes the Section 3.4 digest
+//!   locks), and a response/VO cache invalidated per table on delta
+//!   apply;
 //! * [`cluster`] — the **multi-edge cluster**: tables sharded across N
 //!   edge replicas, signed deltas fanned out over per-edge subscription
 //!   queues (bounded-retention [`DeltaLog`] cursors), queries routed to
@@ -47,7 +47,6 @@ pub mod client;
 pub mod cluster;
 pub mod durability;
 pub mod edge_server;
-pub mod locks;
 pub mod net;
 pub mod service;
 pub mod snapshot;
@@ -60,12 +59,11 @@ pub use cluster::{
 };
 pub use durability::DurabilityConfig;
 pub use edge_server::{EdgeServer, TamperMode};
-pub use locks::{LockConflict, LockManager, LockMode, LockStats};
 pub use net::{
     CentralEndpoint, Conn, ConnState, EdgeEndpoint, FrameEndpoint, Listener, LoopbackTransport,
     NetClient, NetError, NetServer, RetryPolicy, ServerStats, TcpTransport, Transport,
 };
-pub use service::{CacheStats, EdgeError, EdgeService, ResponseCache};
+pub use service::{CacheStats, EdgeError, EdgeService, LockStats, ResponseCache};
 pub use snapshot::ServingReplica;
 pub use sync::{clone_verified, restore_table, RestoredTable};
 // Data-freshness verification surface (the cluster's client side).

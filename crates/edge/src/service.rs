@@ -1,26 +1,31 @@
 //! The concurrent serving subsystem: snapshot replicas + VO cache.
 //!
 //! [`EdgeService`] is the `&self`-everywhere (hence `Sync`) engine an
-//! edge site actually runs: every table is a [`ServingReplica`] (an
-//! atomically swappable snapshot, so readers never block), queries take
-//! the Section 3.4 **shared** locks on their enveloping subtree and
-//! updates take **exclusive** locks on the affected path digests through
-//! one [`LockManager`] — conflicting paths retry, non-overlapping ones
-//! proceed concurrently, exactly as the paper prescribes — and a
-//! response/VO cache keyed by `(table, range, residual fingerprint)`
+//! edge site actually runs. Every table is a [`ServingReplica`]: an
+//! atomically swappable immutable snapshot. A reader clones the current
+//! snapshot `Arc` and executes against it, so no writer can change what
+//! it reads. A writer never edits a published store: it builds each
+//! successor off to the side and publishes it with one pointer swap.
+//! Writers are serialised by the `applied_seq` mutex, which a commit
+//! holds from its order check until every table it touches is
+//! published. This covers what the paper's Section 3.4 S- and X-locks
+//! on digests protect when a tree is updated in place: no reader ever
+//! sees a half-updated tree, and no reader holds anything a writer must
+//! wait for.
+//!
+//! A response/VO cache keyed by `(table, range, residual fingerprint)`
 //! lets repeated hot-range queries skip both re-execution and VO
 //! assembly entirely. The cache is invalidated per table whenever a
 //! delta lands on (or a new snapshot is published for) that table;
-//! other tables' entries survive.
+//! other tables' entries survive. Per-table version floors keep a
+//! response computed from a superseded snapshot out of the cache.
 //!
 //! [`crate::EdgeServer`] is a thin façade over this type that adds the
 //! VB-tree SQL surface and the test-only tamper modes.
 
-use crate::locks::{LockManager, LockMode, LockStats, Resource};
 use crate::snapshot::ServingReplica;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vbx_core::scheme::{AuthScheme, Commit, DeltaBatch, TxnBatch};
 use vbx_core::{FreshnessStamp, RangeQuery, ResponseFreshness};
@@ -159,6 +164,19 @@ pub struct CacheStats {
     pub stale_skips: u64,
 }
 
+/// Lock counters, kept only so existing callers of
+/// [`EdgeService::lock_stats`] and [`crate::CentralServer::lock_stats`]
+/// still build. Neither server takes a lock (see the module docs), so
+/// both fields always read 0. The type goes once the benchmark stops
+/// naming it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LockStats {
+    /// Lock acquisitions: always 0.
+    pub acquired: u64,
+    /// Denied lock requests: always 0.
+    pub conflicts: u64,
+}
+
 struct CacheInner<R> {
     map: HashMap<CacheKey, Arc<R>>,
     /// Insertion order for FIFO eviction.
@@ -281,21 +299,20 @@ pub struct EdgeService<S: AuthScheme> {
     scheme: S,
     schemas: parking_lot::RwLock<BTreeMap<String, Schema>>,
     replicas: parking_lot::RwLock<BTreeMap<String, Arc<ServingReplica<S>>>>,
-    locks: LockManager,
     cache: ResponseCache<S::Response>,
     /// Compact (`VBX4`) responses are cached as their encoded **prefix**
     /// bytes — everything up to (not including) the freshness suffix —
     /// so a hit appends the edge's *current* replication position
     /// instead of replaying a stale one.
     compact_cache: ResponseCache<Vec<u8>>,
-    /// Next delta sequence number; the guard also serialises writers so
-    /// the order check and the apply are atomic.
+    /// Next delta sequence number. The guard also serialises writers:
+    /// a commit holds it from its order check until every table it
+    /// touches is published, and every response reads its replication
+    /// position through it.
     applied_seq: Mutex<u64>,
     /// Newest owner freshness stamp received over the subscription
     /// (republished with every response so clients can bound staleness).
     stamp: parking_lot::RwLock<Option<FreshnessStamp>>,
-    /// Lock-manager transaction ids for queries/updates.
-    next_txn: AtomicU64,
 }
 
 impl<S: AuthScheme> EdgeService<S> {
@@ -311,12 +328,10 @@ impl<S: AuthScheme> EdgeService<S> {
             scheme,
             schemas: parking_lot::RwLock::new(BTreeMap::new()),
             replicas: parking_lot::RwLock::new(BTreeMap::new()),
-            locks: LockManager::new(),
             cache: ResponseCache::new(DEFAULT_CACHE_CAPACITY),
             compact_cache: ResponseCache::new(DEFAULT_CACHE_CAPACITY),
             applied_seq: Mutex::new(seq),
             stamp: parking_lot::RwLock::new(None),
-            next_txn: AtomicU64::new(1),
         }
     }
 
@@ -425,9 +440,9 @@ impl<S: AuthScheme> EdgeService<S> {
         Ok(())
     }
 
-    /// Lock-protocol counters.
+    /// Always [`LockStats::default()`]: the service takes no locks.
     pub fn lock_stats(&self) -> LockStats {
-        self.locks.stats()
+        LockStats::default()
     }
 
     /// Response-cache counters.
@@ -435,27 +450,11 @@ impl<S: AuthScheme> EdgeService<S> {
         self.cache.stats()
     }
 
-    /// Spin until the Section 3.4 try-lock protocol admits the batch:
-    /// all-or-nothing acquisition means no deadlock is possible, so a
-    /// conflicting path simply retries until the holder's short critical
-    /// section ends.
-    fn acquire_with_retry(&self, txn: u64, resources: &[Resource], mode: LockMode) {
-        let mut spins = 0u32;
-        while self.locks.try_acquire_all(txn, resources, mode).is_err() {
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::sleep(std::time::Duration::from_micros(20));
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Serve a query: cache lookup, else snapshot + S-lock the
-    /// enveloping subtree + execute + cache. `residual_fp` is the
-    /// planner's stable fingerprint of any residual predicate `exec`
-    /// applies (0 for none) — it keeps semantically different
-    /// executions over the same key range in different cache slots.
+    /// Serve a query: cache lookup, else snapshot + execute + cache.
+    /// `residual_fp` is the planner's stable fingerprint of any residual
+    /// predicate `exec` applies (0 for none) — it keeps semantically
+    /// different executions over the same key range in different cache
+    /// slots.
     pub fn serve<F>(
         &self,
         table: &str,
@@ -474,16 +473,7 @@ impl<S: AuthScheme> EdgeService<S> {
             .replica(table)
             .ok_or_else(|| EdgeError::UnknownTable(table.into()))?;
         let (snap, snap_version) = replica.versioned_snapshot();
-        let txn = self.next_txn.fetch_add(1, Ordering::Relaxed);
-        let resources: Vec<Resource> = self
-            .scheme
-            .query_lock_targets(&snap, query)
-            .into_iter()
-            .map(|n| (table.to_string(), n))
-            .collect();
-        self.acquire_with_retry(txn, &resources, LockMode::Shared);
         let resp = Arc::new(exec(&snap));
-        self.locks.release_all(txn);
         // The version stamp keeps this insert from resurrecting
         // pre-delta data if a delta (and its invalidation) landed while
         // we executed against the old snapshot.
@@ -492,9 +482,8 @@ impl<S: AuthScheme> EdgeService<S> {
     }
 
     /// Serve a compact (`VBX4`) request as encoded prefix bytes:
-    /// cache lookup, else snapshot + S-lock the union of every range's
-    /// enveloping subtree + `exec` + cache. The prefix excludes the
-    /// freshness suffix, so the caller appends the edge's *current*
+    /// cache lookup, else snapshot + `exec` + cache. The prefix excludes
+    /// the freshness suffix, so the caller appends the edge's *current*
     /// position per response (`vbx_core::compact_response_bytes`) —
     /// cached VO bytes never replay a stale replication stamp.
     ///
@@ -522,20 +511,7 @@ impl<S: AuthScheme> EdgeService<S> {
             .replica(table)
             .ok_or_else(|| EdgeError::UnknownTable(table.into()))?;
         let (snap, snap_version) = replica.versioned_snapshot();
-        let txn = self.next_txn.fetch_add(1, Ordering::Relaxed);
-        let mut targets: Vec<usize> = queries
-            .iter()
-            .flat_map(|q| self.scheme.query_lock_targets(&snap, q))
-            .collect();
-        targets.sort_unstable();
-        targets.dedup();
-        let resources: Vec<Resource> = targets
-            .into_iter()
-            .map(|n| (table.to_string(), n))
-            .collect();
-        self.acquire_with_retry(txn, &resources, LockMode::Shared);
         let prefix = Arc::new(exec(&snap));
-        self.locks.release_all(txn);
         self.compact_cache.insert(key, prefix.clone(), snap_version);
         Ok(prefix)
     }
@@ -571,16 +547,21 @@ impl<S: AuthScheme> EdgeService<S> {
     }
 
     /// Apply one atomic multi-table transaction **all-or-none**: verify
-    /// the txn starts at this replica's position, X-lock the union of
-    /// every section's affected digests across all served tables, build
-    /// every table's successor snapshot off to the side, and only when
-    /// *every* section replayed cleanly swap them all in and invalidate
-    /// each touched table's cache once. On any divergence nothing is
-    /// published and the position does not advance — a reader scanning
-    /// two tables of the txn never observes table A at seq n+1 with
-    /// table B still at seq n. Installs the txn's owner stamp (if any)
-    /// after the swaps, so a reader never sees the new attestation
-    /// paired with an old snapshot.
+    /// the txn starts at this replica's position, build every table's
+    /// successor snapshot off to the side, and only when *every*
+    /// section replayed cleanly swap them all in and invalidate each
+    /// touched table's cache once. On any divergence nothing is
+    /// published and the position does not advance. Installs the txn's
+    /// owner stamp (if any) after the swaps, so a reader never sees the
+    /// new attestation paired with an old snapshot.
+    ///
+    /// A txn is never half visible to a client: the `applied_seq` mutex
+    /// is held from the order check until the last table is published,
+    /// and every response reads its replication position through that
+    /// mutex after it has taken its snapshot. So a response that read
+    /// table A at seq n+1 is not returned before table B is at seq n+1
+    /// too, and a client that reads A and then B never sees A newer
+    /// than B.
     ///
     /// A section whose table this edge does not serve is a foreign
     /// placeholder — its ops advance the position without local replay,
@@ -643,51 +624,20 @@ impl<S: AuthScheme> EdgeService<S> {
                 None => return Err(EdgeError::UnknownTable(table.to_string())),
             }
         }
-        let lock_txn = self.next_txn.fetch_add(1, Ordering::Relaxed);
-        let mut resources: Vec<Resource> = Vec::new();
-        {
-            let mut snaps: BTreeMap<&str, Arc<S::Store>> = BTreeMap::new();
-            for section in sections {
-                let Some(replica) = replicas.get(section.table.as_str()) else {
-                    continue;
-                };
-                let snap = snaps
-                    .entry(section.table.as_str())
-                    .or_insert_with(|| replica.snapshot());
-                for op in &section.ops {
-                    for target in self.scheme.lock_targets(snap, op) {
-                        resources.push((section.table.clone(), target));
-                    }
-                }
-            }
-        }
-        resources.sort_unstable();
-        resources.dedup();
-        self.acquire_with_retry(lock_txn, &resources, LockMode::Exclusive);
         // Build every successor store aside; a table touched by several
         // sections chains them on one working copy.
-        let result = (|| {
-            let mut successors: BTreeMap<&str, S::Store> = BTreeMap::new();
-            for section in sections {
-                let Some(replica) = replicas.get(section.table.as_str()) else {
-                    continue;
-                };
-                let store = successors
-                    .entry(section.table.as_str())
-                    .or_insert_with(|| (*replica.snapshot()).clone());
-                self.scheme
-                    .apply_delta_batch(store, &section.ops, &section.payloads, section.key_version)
-                    .map_err(EdgeError::Scheme)?;
-            }
-            Ok(successors)
-        })();
-        let successors = match result {
-            Ok(successors) => successors,
-            Err(e) => {
-                self.locks.release_all(lock_txn);
-                return Err(e);
-            }
-        };
+        let mut successors: BTreeMap<&str, S::Store> = BTreeMap::new();
+        for section in sections {
+            let Some(replica) = replicas.get(section.table.as_str()) else {
+                continue;
+            };
+            let store = successors
+                .entry(section.table.as_str())
+                .or_insert_with(|| (*replica.snapshot()).clone());
+            self.scheme
+                .apply_delta_batch(store, &section.ops, &section.payloads, section.key_version)
+                .map_err(EdgeError::Scheme)?;
+        }
         // Every section replayed: swap all tables, then invalidate each
         // touched table's cache exactly once.
         for (table, store) in successors {
@@ -697,7 +647,6 @@ impl<S: AuthScheme> EdgeService<S> {
             self.cache.invalidate_table(table, floor);
             self.compact_cache.invalidate_table(table, floor);
         }
-        self.locks.release_all(lock_txn);
         *seq += ops;
         drop(seq);
         if let Some(stamp) = stamp {
@@ -823,7 +772,7 @@ mod tests {
         assert!(Arc::ptr_eq(&before, &svc.snapshot("items").unwrap()));
         assert_eq!(svc.replica("items").unwrap().published_count(), 0);
         assert_eq!(svc.applied_seq(), 0);
-        // The locks were released: the honest batch still applies.
+        // Nothing was consumed: the honest batch still applies.
         svc.apply_delta_batch(&delete_5(&svc, &signer, 0)).unwrap();
         assert_eq!(svc.applied_seq(), 1);
     }
@@ -885,14 +834,5 @@ mod tests {
             &svc.serve("items", &q, 0xFEED, |_| unreachable!("must hit cache"))
                 .unwrap()
         ));
-    }
-
-    #[test]
-    fn queries_take_shared_locks() {
-        let (svc, _) = service();
-        let q = RangeQuery::select_all(0, 5);
-        svc.query_range("items", &q).unwrap();
-        assert!(svc.lock_stats().acquired > 0);
-        assert_eq!(svc.lock_stats().released, 1);
     }
 }

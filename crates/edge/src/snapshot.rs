@@ -6,9 +6,9 @@
 //! never change underneath them, while the writer builds the successor
 //! store *off to the side* and swaps it in with one pointer store. This
 //! is the WedgeChain-style edge-store shape — many concurrent readers
-//! over a replica that a trusted writer advances asynchronously — and it
-//! is what lets the Section 3.4 locking protocol run at digest level
-//! without readers ever blocking on store mutation.
+//! over a replica that a trusted writer advances asynchronously. Since
+//! no store is ever mutated once published, a reader needs none of the
+//! Section 3.4 digest locks that an in-place update would call for.
 //!
 //! For the VB-tree the build-aside clone is cheap: `VbTree`'s node arena
 //! is `Arc`'d (copy-on-write), so cloning copies one pointer per node

@@ -8,15 +8,16 @@
 
 use std::sync::Arc;
 use vbx_core::{
-    decode_compact_response, decode_response, ClientVerifier, FreshnessPolicy, RangeQuery,
-    VbScheme, VbTreeConfig,
+    decode_compact_response, decode_response, ClientVerifier, ErrorCode, FreshnessPolicy, NetMsg,
+    RangeQuery, VbScheme, VbTreeConfig,
 };
 use vbx_crypto::signer::{MockSigner, Signer};
 use vbx_crypto::Acc256;
 use vbx_edge::net::{bootstrap_edge, replicate_once, sync_stamp, ChunkFetch};
 use vbx_edge::{
-    restore_table, CentralEndpoint, CentralServer, EdgeEndpoint, EdgeError, FrameEndpoint,
-    LoopbackTransport, NetClient, NetError, NetServer, TamperMode, TcpTransport, Transport,
+    restore_table, CentralEndpoint, CentralServer, ConnState, EdgeEndpoint, EdgeError, EdgeServer,
+    FrameEndpoint, LoopbackTransport, NetClient, NetError, NetServer, TamperMode, TcpTransport,
+    Transport,
 };
 use vbx_storage::workload::WorkloadSpec;
 use vbx_storage::{Schema, Tuple, Value};
@@ -471,4 +472,39 @@ fn replicate_once_reports_typed_apply_failures_with_progress() {
         "the cursor advanced exactly past the good op"
     );
     srv.shutdown();
+}
+
+#[test]
+fn zero_range_compact_request_is_refused_and_the_endpoint_keeps_serving() {
+    // A compact request names at least one range. A hostile frame that
+    // names none is a `BadRequest` reply, never a panic in the edge, and
+    // the next honest request on the same connection is answered.
+    let (central, _signer) = central_fixture();
+    let acc = Acc256::test_default();
+    let endpoint = EdgeEndpoint::new(Arc::new(EdgeServer::from_bundle(central.bundle())));
+    let mut state = ConnState::default();
+    let compact = |queries: Vec<RangeQuery>| {
+        NetMsg::CompactReq {
+            table: "t0".into(),
+            queries,
+            aggregate: false,
+        }
+        .to_frame()
+    };
+
+    let reply = endpoint.serve_frame(&mut state, &compact(Vec::new()));
+    assert_eq!(reply.len(), 1);
+    match NetMsg::from_frame(&reply[0]) {
+        Ok(NetMsg::Error { code, .. }) => assert_eq!(code, ErrorCode::BadRequest),
+        other => panic!("expected a BadRequest error frame, got {other:?}"),
+    }
+
+    let reply = endpoint.serve_frame(&mut state, &compact(vec![RangeQuery::select_all(5, 25)]));
+    assert_eq!(reply.len(), 1);
+    match NetMsg::from_frame(&reply[0]) {
+        Ok(NetMsg::CompactResp(bytes)) => {
+            decode_compact_response(&bytes, &acc).expect("VBX4 decodes");
+        }
+        other => panic!("expected a compact response, got {other:?}"),
+    }
 }

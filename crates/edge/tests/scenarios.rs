@@ -386,31 +386,6 @@ fn join_view_distribution_and_refresh() {
 }
 
 #[test]
-fn lock_protocol_exercised_by_updates() {
-    let (mut central, _, _) = setup(40);
-    let schema = central.tree("items").unwrap().schema().clone();
-    let before = central.lock_stats();
-    let t = Tuple::new(
-        &schema,
-        999,
-        vec![
-            Value::from("a"),
-            Value::from("b"),
-            Value::from("c"),
-            Value::from(0i64),
-        ],
-    )
-    .unwrap();
-    central.insert("items", t).unwrap();
-    central.delete("items", 999).unwrap();
-    let after = central.lock_stats();
-    // Both transactions acquired (and released) path locks.
-    assert!(after.acquired > before.acquired);
-    assert_eq!(after.conflicts, before.conflicts);
-    assert!(after.released >= before.released + 2);
-}
-
-#[test]
 fn bundle_crosses_process_boundary_as_bytes() {
     // Distribution as it would actually happen: the bundle is
     // serialized, shipped, decoded, and the edge stood up from bytes.

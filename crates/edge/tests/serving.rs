@@ -8,7 +8,7 @@ use std::sync::Arc;
 use vbx_core::{decode_compact_response, encode_response, CostMeter, RangeQuery, VbTreeConfig};
 use vbx_crypto::signer::MockSigner;
 use vbx_crypto::{Acc256, KeyRegistry, Signer};
-use vbx_edge::{CentralServer, EdgeServer, KeyFreshnessPolicy, SchemeClient, VbScheme};
+use vbx_edge::{CentralServer, EdgeServer, KeyFreshnessPolicy, SchemeClient, UpdateOp, VbScheme};
 use vbx_storage::workload::WorkloadSpec;
 use vbx_storage::{Tuple, Value};
 
@@ -359,4 +359,88 @@ fn skip_deltas_overflow_is_refused_and_position_kept() {
         edge.tree("items").unwrap().root_digest().exp,
         central.tree("items").unwrap().root_digest().exp
     );
+}
+
+/// Cross-table isolation of atomic txns. Each txn inserts the same new
+/// key into tables `a` and `b`; readers query `a` and then `b`. A reader
+/// must never see more new rows in `a` than in the `b` it reads after
+/// it. No lock gives this: the writer holds the edge's `applied_seq`
+/// mutex until both tables are published, and every response reads its
+/// replication position through that mutex after taking its snapshot,
+/// so a read that saw the new `a` returns only once the new `b` is in.
+#[test]
+fn readers_never_see_a_txn_in_one_table_but_not_the_other() {
+    const ROWS: u64 = 64;
+    const TXNS: u64 = 300;
+    let acc = Acc256::test_default();
+    let signer = Arc::new(MockSigner::with_version(42, 1));
+    let mut central = CentralServer::new(acc, signer, VbTreeConfig::with_fanout(8));
+    for table in ["a", "b"] {
+        central.create_table(
+            WorkloadSpec {
+                table: table.into(),
+                ..WorkloadSpec::new(ROWS, 3, 8)
+            }
+            .build(),
+        );
+    }
+    let edge = EdgeServer::from_bundle(central.bundle());
+    let txns: Vec<_> = (ROWS..ROWS + TXNS)
+        .map(|key| {
+            let mut txn = central.begin_txn();
+            for table in ["a", "b"] {
+                let schema = central.tree(table).unwrap().schema().clone();
+                let values = vec![
+                    Value::from(format!("new{key}")),
+                    Value::from("w"),
+                    Value::from(key as i64),
+                ];
+                txn.stage(
+                    table,
+                    UpdateOp::Insert(Tuple::new(&schema, key, values).unwrap()),
+                );
+            }
+            central.commit_txn(txn).unwrap()
+        })
+        .collect();
+
+    let new_rows = RangeQuery::select_all(ROWS, ROWS + TXNS);
+    let stop = AtomicBool::new(false);
+    let pairs = AtomicU64::new(0);
+    let skews = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    let in_a = edge.query_range("a", &new_rows).unwrap().rows.len();
+                    let in_b = edge.query_range("b", &new_rows).unwrap().rows.len();
+                    if in_a > in_b {
+                        skews.fetch_add(1, Ordering::Relaxed);
+                    }
+                    pairs.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        s.spawn(|| {
+            for txn in &txns {
+                edge.apply_txn(txn).unwrap();
+                std::thread::sleep(std::time::Duration::from_micros(50));
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+    });
+
+    assert_eq!(
+        skews.load(Ordering::Relaxed),
+        0,
+        "a reader saw table a ahead of table b"
+    );
+    assert!(pairs.load(Ordering::Relaxed) >= 100, "readers actually ran");
+    assert_eq!(edge.applied_seq(), 2 * TXNS);
+    for table in ["a", "b"] {
+        assert_eq!(
+            edge.query_range(table, &new_rows).unwrap().rows.len() as u64,
+            TXNS
+        );
+    }
 }

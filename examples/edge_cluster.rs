@@ -30,8 +30,8 @@ fn main() {
 
     // ------------------------------------------------------------------
     // Live updates: the central server commits each as a batch of one
-    // under path locks and ships the signed batch; replicas replay it
-    // without any key.
+    // and ships the signed batch; replicas replay it without any key,
+    // building the successor tree aside and swapping it in.
     // ------------------------------------------------------------------
     let schema = central.tree("sensors").unwrap().schema().clone();
     for k in 10_000..10_020u64 {
@@ -56,10 +56,7 @@ fn main() {
     for e in &edges {
         e.apply_delta_batch(&batch).unwrap();
     }
-    println!(
-        "updates: 20 inserts + one 50-row range delete propagated; lock stats: {:?}",
-        central.lock_stats()
-    );
+    println!("updates: 20 inserts + one 50-row range delete propagated");
 
     // Every replica is digest-identical to the master.
     let master = central.tree("sensors").unwrap().root_digest().exp;

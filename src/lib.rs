@@ -70,8 +70,8 @@ pub mod prelude {
     pub use vbx_crypto::{rsa, Acc256, Accumulator, KeyRegistry};
     pub use vbx_edge::{
         CentralEndpoint, CentralServer, ClusterConfig, ClusterCoordinator, EdgeClient,
-        EdgeEndpoint, EdgeServer, KeyFreshnessPolicy, LockManager, LockMode, LoopbackTransport,
-        NetClient, NetServer, SchemeClient, ShardMap, TcpTransport, Transport,
+        EdgeEndpoint, EdgeServer, KeyFreshnessPolicy, LoopbackTransport, NetClient, NetServer,
+        SchemeClient, ShardMap, TcpTransport, Transport,
     };
     pub use vbx_query::{parse_select, AuthQueryEngine, ClientSession, JoinViewDef};
     pub use vbx_storage::workload::WorkloadSpec;

@@ -155,8 +155,9 @@ fn analysis_predicts_measured_tree_shape() {
 #[test]
 fn concurrent_edges_serve_while_central_updates() {
     // Queries against existing replicas proceed while the central
-    // server runs update transactions (the replicas are snapshots; the
-    // lock protocol serialises only co-located work — Section 3.4).
+    // server runs update transactions: a reader executes on an
+    // immutable snapshot, and the writer publishes a successor built
+    // aside, so no read waits for or observes a half-applied update.
     let acc = Acc256::test_default();
     let signer = Arc::new(MockSigner::with_version(11, 1));
     let mut central = CentralServer::new(acc.clone(), signer, VbTreeConfig::default());
